@@ -86,15 +86,8 @@ let run_one ~label ~jobs ~window ~sched ~cache plan : run_stats =
       let src = Megacorpus.source app in
       let ts = Clock.now () in
       let r =
-        Fault.wrap (fun () ->
-            match cache with
-            | Some (dir, max_bytes) ->
-                fst
-                  (Cache.analyze ~config ?max_bytes ~dir
-                     ~file:app.Megacorpus.mc_name src)
-            | None ->
-                Cache.entry_of_result
-                  (Pipeline.analyze ~config ~file:app.Megacorpus.mc_name src))
+        Result.map fst
+          (Nadroid_core.Batch.analyze None ?cache ~config ~file:app.Megacorpus.mc_name src)
       in
       (r, Clock.now () -. ts, (Domain.self () :> int)))
     (fun i out ->

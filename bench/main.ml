@@ -23,31 +23,22 @@ module Classify = Nadroid_core.Classify
 module Threadify = Nadroid_core.Threadify
 module Fault = Nadroid_core.Fault
 module Cache = Nadroid_core.Cache
+module Batch = Nadroid_core.Batch
 module Clock = Nadroid_clock.Clock
 
+let corpus_input (a : Corpus.app) = (a.Corpus.name, fun () -> a.Corpus.source)
+
 (* Corpus batch through the analysis cache (crash-isolated, like
-   {!Corpus.analyze_all}); results are cache entries. The batch runs on
-   the same streaming scheduler as the uncached path — frontend and
-   analysis pipelined through one set of worker slots, with one
-   batch-shared interning table for the misses. [max_bytes] caps the
-   cache directory across the batch (LRU eviction after stores). *)
-let analyze_all_cached ?config ?max_bytes ~jobs ~dir (apps : Corpus.app list) :
-    (Corpus.app * (Cache.entry * Cache.outcome, Fault.t) result) list =
-  ignore (Lazy.force Nadroid_lang.Builtins.program);
-  let interner = Pipeline.create_interner () in
+   {!Corpus.analyze_all}); results are cache entries. [max_bytes] caps
+   the cache directory across the batch (LRU eviction after stores). *)
+let analyze_all_cached ?max_bytes ~jobs ~dir (apps : Corpus.app list) :
+    (Corpus.app * Batch.result) list =
   let arr = Array.of_list apps in
-  let out = Array.make (Array.length arr) None in
-  Nadroid_core.Parallel.stream ~jobs ~n:(Array.length arr)
-    (fun i ->
-      Cache.analyze ?config ?max_bytes ~interner ~dir ~file:arr.(i).Corpus.name
-        arr.(i).Corpus.source)
-    (fun i r -> out.(i) <- Some r);
-  List.mapi
-    (fun i app ->
-      match out.(i) with
-      | Some r -> (app, Result.map_error Fault.of_exn r)
-      | None -> assert false)
-    apps
+  let out = Array.make (Array.length arr) (Error (Fault.Internal "not analyzed")) in
+  ignore
+    (Batch.run ~jobs ~cache:(dir, max_bytes) (Array.map corpus_input arr) (fun i r ->
+         out.(i) <- r));
+  List.combine apps (Array.to_list out)
 
 (* ---------------------------------------------------------------- *)
 (* Table 1                                                            *)
@@ -909,46 +900,23 @@ module Faultinject = Nadroid_core.Faultinject
 let bench7_json_file = "BENCH_7.json"
 
 (* One journaled corpus batch — the `nadroid analyze --journal` shape,
-   in-process: replayed records short-circuit, fresh results append.
-   Returns the batch digest (one MD5 over every entry's counts and
-   report bytes in corpus order) and the replay count; kill/resume
-   identity is judged on the digest. *)
+   in-process. Returns the batch digest (one MD5 over every entry's
+   counts and report bytes in corpus order) and the replay count;
+   kill/resume identity is judged on the digest. *)
 let journaled_batch ~jobs ~jpath ~resume apps : string * int =
-  let journal, replayed = Journal.open_ ~path:jpath ~resume in
-  let idx = Journal.latest replayed in
-  let config = Pipeline.default_config in
-  let reused = Atomic.make 0 in
-  let task (app : Corpus.app) =
-    let key = Cache.key ~config app.Corpus.source in
-    match Hashtbl.find_opt idx app.Corpus.name with
-    | Some r when String.equal r.Journal.j_key key -> (
-        ignore (Atomic.fetch_and_add reused 1);
-        match r.Journal.j_result with
-        | Ok e -> e
-        | Error f -> raise (Fault.Fault f))
-    | _ ->
-        let e =
-          Cache.entry_of_result
-            (Pipeline.analyze ~config ~file:app.Corpus.name app.Corpus.source)
-        in
-        Journal.append journal
-          { Journal.j_name = app.Corpus.name; j_key = key; j_result = Ok e };
-        e
-  in
-  let entries =
-    List.map
-      (function Ok e -> e | Error e -> raise e)
-      (Nadroid_core.Parallel.map_result ~jobs task apps)
-  in
-  Journal.close journal;
   let buf = Buffer.create 4096 in
-  List.iter
-    (fun (e : Cache.entry) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d/%d/%d\n%s\n" e.Cache.e_potential e.Cache.e_after_sound
-           e.Cache.e_after_unsound e.Cache.e_report))
-    entries;
-  (Digest.to_hex (Digest.string (Buffer.contents buf)), Atomic.get reused)
+  let replayed =
+    Batch.run ~jobs ~journal:jpath ~resume
+      (Array.map corpus_input (Array.of_list apps))
+      (fun _ r ->
+        match r with
+        | Ok ((e : Cache.entry), _) ->
+            Buffer.add_string buf
+              (Printf.sprintf "%d/%d/%d\n%s\n" e.Cache.e_potential e.Cache.e_after_sound
+                 e.Cache.e_after_unsound e.Cache.e_report)
+        | Error f -> raise (Fault.Fault f))
+  in
+  (Digest.to_hex (Digest.string (Buffer.contents buf)), replayed)
 
 (* Run one journaled batch in a child process (re-exec of this binary in
    the hidden `crash-batch` mode — fork is off-limits once any domain
@@ -1002,20 +970,16 @@ let crash ~jobs ~json () =
   in
   let plain_elapsed = Clock.now () -. t0 in
   if List.length plain < n then exit 1;
-  (* supervised batch: same apps, each in a worker process *)
-  let sp = Supervise.create ~jobs () in
+  (* supervised batch: same apps, each in a worker process (the
+     elapsed time includes spawning the workers) *)
   let t0 = Clock.now () in
-  let sup =
-    Nadroid_core.Parallel.map_result ~jobs
-      (fun (app : Corpus.app) ->
-        match Supervise.analyze sp ~config ~file:app.Corpus.name app.Corpus.source with
-        | Ok e -> e
-        | Error f -> raise (Fault.Fault f))
-      apps
-  in
+  let sup_ok = ref 0 in
+  ignore
+    (Batch.run ~jobs ~supervise:true ~config
+       (Array.map corpus_input (Array.of_list apps))
+       (fun _ r -> if Result.is_ok r then incr sup_ok));
   let sup_elapsed = Clock.now () -. t0 in
-  Supervise.shutdown sp;
-  let sup_ok = List.length (List.filter Result.is_ok sup) in
+  let sup_ok = !sup_ok in
   if sup_ok < n then begin
     Printf.eprintf "crash: %d of %d supervised analyses faulted\n" (n - sup_ok) n;
     exit 1

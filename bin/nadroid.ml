@@ -209,10 +209,9 @@ let analyze_cmd =
   in
   let run files k sound_only jobs timings json budget_pta budget_tuples deadline
       budget_explorer cache no_cache cache_dir cache_max_bytes supervise heartbeat
-      journal_path resume stream =
+      journal resume stream =
     let module Cache = Nadroid_core.Cache in
-    let module Journal = Nadroid_core.Journal in
-    let module Supervise = Nadroid_core.Supervise in
+    let module Protocol = Nadroid_serve.Protocol in
     let config =
       {
         Pipeline.default_config with
@@ -221,8 +220,7 @@ let analyze_cmd =
         budgets = budgets budget_pta budget_tuples deadline budget_explorer;
       }
     in
-    let use_cache = cache_enabled cache no_cache in
-    if resume && journal_path = None then begin
+    if resume && journal = None then begin
       Fmt.epr "--resume needs --journal PATH@.";
       exit 2
     end;
@@ -230,157 +228,70 @@ let analyze_cmd =
       Fmt.epr "--stream and --json are mutually exclusive@.";
       exit 2
     end;
-    (* force the shared builtin-program lazy before any domain spawns *)
-    ignore (Lazy.force Nadroid_lang.Builtins.program);
     (* SIGTERM stops the batch at the next task boundary: files already
        analyzed still print (and journal), files never started become
        batch faults, and the exit code reflects the worst class seen *)
     let stop = Atomic.make false in
     ignore (Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set stop true)));
-    let journal = Option.map (fun p -> Journal.open_ ~path:p ~resume) journal_path in
+    let files = Array.of_list files in
+    let n = Array.length files in
+    let faults = ref [] and json_apps = ref [] and json_faults = ref [] in
+    (* one emit loop, three renderers. Every path yields a cache entry —
+       it holds exactly what this command prints (counts, rendered
+       report, metrics), which is what keeps cached, uncached,
+       supervised and journal-resumed output byte-identical *)
+    let emit i r =
+      let path = files.(i) in
+      let file_json = function
+        | Ok ((e : Cache.entry), _) -> Protocol.entry_json ~name:path e
+        | Error fault -> Nadroid_core.Report.fault_to_json ~name:path fault
+      in
+      (match r with
+      | Ok (_, outcome) -> warn_cache_outcome path outcome
+      | Error f -> faults := f :: !faults);
+      if stream then begin
+        (* corpus-scale path: one line per file, flushed in input order
+           as it completes; only the fault inventory is kept, so memory
+           is bounded by the scheduler window, not the batch size *)
+        print_endline (file_json r);
+        flush stdout
+      end
+      else if json then
+        (* the same Protocol functions the serve daemon answers with, so
+           a daemon response is byte-identical to this output *)
+        match r with
+        | Ok _ -> json_apps := file_json r :: !json_apps
+        | Error _ -> json_faults := file_json r :: !json_faults
+      else begin
+        if n > 1 then Fmt.pr "== %s ==@." path;
+        match r with
+        | Ok ((e : Cache.entry), _) ->
+            Fmt.pr "potential UAFs: %d; after sound filters: %d; after unsound filters: %d@.@."
+              e.Cache.e_potential e.Cache.e_after_sound e.Cache.e_after_unsound;
+            print_string e.Cache.e_report;
+            if timings then Fmt.pr "%a" Nadroid_core.Report.pp_metrics e.Cache.e_metrics
+        | Error fault -> Fmt.epr "%s: %a@." path Fault.pp fault
+      end
+    in
     let replayed =
-      match journal with
-      | Some (_, records) -> Journal.latest records
-      | None -> Hashtbl.create 0
+      Nadroid_core.Batch.run ~jobs ~supervise ?heartbeat
+        ?cache:(if cache_enabled cache no_cache then Some (cache_dir, cache_max_bytes) else None)
+        ?journal ~resume ~stop
+        ~on_journal_error:(fun path f -> Fmt.epr "journal: %s: %a@." path Fault.pp f)
+        ~config
+        (Array.map (fun path -> (path, fun () -> read_file path)) files)
+        emit
     in
-    let spool =
-      if supervise then Some (Supervise.create ~jobs ?heartbeat ()) else None
-    in
-    let reused = Atomic.make 0 in
-    (* crash-isolated: a bad file yields its own fault report while the
-       remaining files are still analyzed; exit with the worst class.
-       All paths produce a cache entry — the entry holds exactly what
-       this command prints (counts, rendered report, metrics), which is
-       what keeps cached, uncached, supervised and journal-resumed
-       output byte-identical. *)
-    let analyze_one path =
-      if Atomic.get stop then raise (Fault.Fault (Fault.Budget Fault.P_batch));
-      let src = read_file path in
-      let key = Cache.key ~config src in
-      match Hashtbl.find_opt replayed path with
-      | Some r when String.equal r.Journal.j_key key -> (
-          ignore (Atomic.fetch_and_add reused 1);
-          match r.Journal.j_result with
-          | Ok e -> (e, Cache.Hit)
-          | Error f -> raise (Fault.Fault f))
-      | _ ->
-          let result =
-            match spool with
-            | Some sp ->
-                Result.map
-                  (fun e -> (e, Cache.Miss))
-                  (Supervise.analyze sp ~config
-                     ?cache:
-                       (if use_cache then Some (cache_dir, cache_max_bytes)
-                        else None)
-                     ~file:path src)
-            | None ->
-                Fault.wrap (fun () ->
-                    if use_cache then
-                      Cache.analyze ~config ?max_bytes:cache_max_bytes
-                        ~dir:cache_dir ~file:path src
-                    else
-                      ( Cache.entry_of_result (Pipeline.analyze ~config ~file:path src),
-                        Cache.Miss ))
-          in
-          (match journal with
-          | Some (j, _) -> (
-              (* losing a journal record costs resume coverage, never
-                 the batch: surface it and continue *)
-              try
-                Journal.append j
-                  { Journal.j_name = path; j_key = key; j_result = Result.map fst result }
-              with e -> Fmt.epr "journal: %s: %a@." path Fault.pp (Fault.of_exn e))
-          | None -> ());
-          (match result with
-          | Ok entry_outcome -> entry_outcome
-          | Error f -> raise (Fault.Fault f))
-    in
-    if stream then begin
-      (* corpus-scale path: the per-file JSON objects --json would
-         aggregate, one per line, flushed in input order as each file
-         completes. Nothing is accumulated except the fault inventory
-         (for the exit code), so memory is bounded by the scheduler
-         window, not the batch size. *)
-      let module Protocol = Nadroid_serve.Protocol in
-      let arr = Array.of_list files in
-      let n = Array.length arr in
-      let faults = ref [] in
-      Nadroid_core.Parallel.stream ~jobs ~n
-        (fun i -> analyze_one arr.(i))
-        (fun i r ->
-          let path = arr.(i) in
-          (match r with
-          | Ok ((e : Cache.entry), outcome) ->
-              warn_cache_outcome path outcome;
-              print_string (Protocol.entry_json ~name:path e)
-          | Error exn ->
-              let f = Fault.of_exn exn in
-              faults := f :: !faults;
-              print_string (Nadroid_core.Report.fault_to_json ~name:path f));
-          print_newline ();
-          flush stdout);
-      Option.iter Supervise.shutdown spool;
-      (match journal with Some (j, _) -> Journal.close j | None -> ());
-      if resume then
-        Fmt.epr "resume: %d of %d file(s) replayed from the journal@."
-          (Atomic.get reused) n;
-      match !faults with
-      | [] -> ()
-      | fs ->
-          Fmt.epr "%d of %d file(s) failed@." (List.length fs) n;
-          exit (Fault.worst_exit fs)
-    end
-    else begin
-    let results =
-      List.map2
-        (fun path r -> (path, Result.map_error Fault.of_exn r))
-        files
-        (Nadroid_core.Parallel.map_result ~jobs analyze_one files)
-    in
-    Option.iter Supervise.shutdown spool;
-    (match journal with Some (j, _) -> Journal.close j | None -> ());
-    if resume then
-      Fmt.epr "resume: %d of %d file(s) replayed from the journal@."
-        (Atomic.get reused) (List.length files);
-    List.iter
-      (fun (path, r) ->
-        match r with Ok (_, outcome) -> warn_cache_outcome path outcome | Error _ -> ())
-      results;
-    (if json then
-       (* stable machine-readable form: per-file counts, degradations and
-          the rendered report plus the fault inventory — built by the
-          same Protocol functions the serve daemon answers with, so a
-          daemon response is byte-identical to this output *)
-       let module Protocol = Nadroid_serve.Protocol in
-       let file_json (path, r) =
-         match r with
-         | Ok ((e : Cache.entry), _) -> Protocol.entry_json ~name:path e
-         | Error fault -> Nadroid_core.Report.fault_to_json ~name:path fault
-       in
-       let ok, bad = List.partition (fun (_, r) -> Result.is_ok r) results in
-       Fmt.pr "%s@."
-         (Protocol.batch_json ~files:(List.length results)
-            ~apps:(List.map file_json ok) ~faults:(List.map file_json bad))
-     else
-       List.iter
-         (fun (path, r) ->
-           if List.length files > 1 then Fmt.pr "== %s ==@." path;
-           match r with
-           | Ok ((e : Cache.entry), _) ->
-               Fmt.pr "potential UAFs: %d; after sound filters: %d; after unsound filters: %d@.@."
-                 e.Cache.e_potential e.Cache.e_after_sound e.Cache.e_after_unsound;
-               print_string e.Cache.e_report;
-               if timings then Fmt.pr "%a" Nadroid_core.Report.pp_metrics e.Cache.e_metrics
-           | Error fault -> Fmt.epr "%s: %a@." path Fault.pp fault)
-         results);
-    let faults = List.filter_map (fun (_, r) -> Result.fold ~ok:(fun _ -> None) ~error:Option.some r) results in
-    (match faults with
+    if resume then Fmt.epr "resume: %d of %d file(s) replayed from the journal@." replayed n;
+    if json then
+      Fmt.pr "%s@."
+        (Protocol.batch_json ~files:n ~apps:(List.rev !json_apps)
+           ~faults:(List.rev !json_faults));
+    match !faults with
     | [] -> ()
-    | _ :: _ ->
-        Fmt.epr "%d of %d file(s) failed@." (List.length faults) (List.length files);
-        exit (Fault.worst_exit faults))
-    end
+    | fs ->
+        Fmt.epr "%d of %d file(s) failed@." (List.length fs) n;
+        exit (Fault.worst_exit fs)
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"statically detect UAF ordering violations")

@@ -1,16 +1,16 @@
 (* Content-addressed on-disk cache for analysis results.
 
    A cache entry is addressed by the digest of (source bytes, canonical
-   pipeline-config rendering, analyzer version): any change to the
-   source, the configuration or the analyzer busts the address, so a hit
-   can only ever return what a fresh run of the same analyzer over the
-   same input would produce. Entries store the *rendered* artifacts — the
+   pipeline-config rendering, analyzer version, file name): any change
+   to the source, the configuration, the analyzer or the name the report
+   prints busts the address, so a hit can only ever return what a fresh
+   run of the same analyzer over the same input would produce. Entries store the *rendered* artifacts — the
    warning counts, the final report string and the cold run's metrics —
    not the solver state, which keeps them small, Marshal-safe and exactly
    sufficient for every consumer (CLI output, golden canonical reports,
    bench timing rows).
 
-   Integrity: the payload is guarded by a magic header and a digest; a
+   Integrity: an entry is one {!Frame} (magic, digest, length); a
    truncated, corrupted or wrong-format file is reported as [Corrupt]
    carrying a structured {!Fault.t} and treated by callers as a miss —
    the cache can serve stale bytes never, wrong bytes never, at worst no
@@ -20,7 +20,7 @@
 (* Bump on any change to analysis semantics or to the entry format; old
    entries then simply stop being addressed (no migration, no unmarshal
    of foreign layouts). *)
-let version = "nadroid-6"
+let version = "nadroid-7"
 
 let default_dir = "_nadroid_cache"
 
@@ -51,14 +51,15 @@ let config_digest (c : Pipeline.config) : string =
     | Nadroid_analysis.Pta.Worklist -> "worklist"
     | Nadroid_analysis.Pta.Reference -> "reference")
 
-let key ?(version = version) ~(config : Pipeline.config) (src : string) : string =
+let key ?(version = version) ?(file = "") ~(config : Pipeline.config) (src : string) :
+    string =
   Digest.to_hex
     (Digest.string
-       (String.concat "\x00" [ Digest.string src; config_digest config; version ]))
+       (String.concat "\x00" [ Digest.string src; config_digest config; version; file ]))
 
 let path ~dir k = Filename.concat dir (k ^ ".cache")
 
-let magic = "nadroid-cache 1"
+let magic = "nadroid-cache 2"
 
 let corrupt what = Corrupt (Fault.Internal (Printf.sprintf "cache: %s" what))
 
@@ -76,26 +77,18 @@ let find ~dir (k : string) : entry option * outcome =
     | exception e ->
         (None, corrupt (Printf.sprintf "unreadable entry %s (%s)" p (Printexc.to_string e)))
     | raw -> (
-        match String.index_opt raw '\n' with
-        | None -> (None, corrupt ("truncated entry " ^ p))
-        | Some nl -> (
-            let header = String.sub raw 0 nl in
-            let payload = String.sub raw (nl + 1) (String.length raw - nl - 1) in
-            match String.split_on_char ' ' header with
-            | [ m1; m2; digest ] when String.equal (m1 ^ " " ^ m2) magic ->
-                if not (String.equal digest (Digest.to_hex (Digest.string payload))) then
-                  (None, corrupt ("checksum mismatch in " ^ p))
-                else (
-                  match (Marshal.from_string payload 0 : entry) with
-                  | e ->
-                      (* touch the entry so LRU eviction tracks hits, not
-                         just stores; [utimes p 0 0] sets both times to
-                         "now". Best-effort: a racing eviction may have
-                         removed the file already. *)
-                      (try Unix.utimes p 0.0 0.0 with Unix.Unix_error _ -> ());
-                      (Some e, Hit)
-                  | exception _ -> (None, corrupt ("undecodable entry " ^ p)))
-            | _ -> (None, corrupt ("bad header in " ^ p))))
+        match Frame.decode ~magic raw 0 with
+        | Some (payload, next) when next = String.length raw -> (
+            match (Marshal.from_string payload 0 : entry) with
+            | e ->
+                (* touch the entry so LRU eviction tracks hits, not just
+                   stores; [utimes p 0 0] sets both times to "now".
+                   Best-effort: a racing eviction may have removed the
+                   file already. *)
+                (try Unix.utimes p 0.0 0.0 with Unix.Unix_error _ -> ());
+                (Some e, Hit)
+            | exception _ -> (None, corrupt ("undecodable entry " ^ p)))
+        | Some _ | None -> (None, corrupt ("truncated, checksum-broken or foreign entry " ^ p)))
 
 let rec mkdir_p d =
   if not (Sys.file_exists d) then begin
@@ -111,10 +104,6 @@ let store_seq = Atomic.make 0
 let store ~dir (k : string) (e : entry) : unit =
   Faultinject.trip Faultinject.Cache_write;
   mkdir_p dir;
-  let payload = Marshal.to_string e [] in
-  let header =
-    Printf.sprintf "%s %s\n" magic (Digest.to_hex (Digest.string payload))
-  in
   let tmp =
     Filename.concat dir
       (Printf.sprintf ".tmp.%s.%d.%d" k (Unix.getpid ()) (Atomic.fetch_and_add store_seq 1))
@@ -122,9 +111,7 @@ let store ~dir (k : string) (e : entry) : unit =
   let oc = open_out_bin tmp in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc header;
-      output_string oc payload);
+    (fun () -> output_string oc (Frame.encode ~magic (Marshal.to_string e [])));
   (match Faultinject.trip Faultinject.Cache_rename with
   | () -> ()
   | exception e ->
@@ -240,32 +227,35 @@ let entry_of_result (t : Pipeline.t) : entry =
     e_metrics = t.Pipeline.metrics;
   }
 
-(* Cached front door: serve the entry on a hit, otherwise analyze, store
-   and return the fresh entry. The outcome tells the caller whether the
-   result came from the cache and whether a corrupt entry was replaced —
-   a corrupt entry never influences the returned result. [max_bytes]
-   caps the directory size: eviction runs opportunistically after each
-   store, and the just-stored entry carries the newest mtime, so it is
-   the last candidate to go. *)
-let analyze ?config ?max_bytes ?interner ~dir ~file (src : string) : entry * outcome =
-  let config = Option.value config ~default:Pipeline.default_config in
-  sweep_on_open ~dir;
-  let k = key ~config src in
-  match find ~dir k with
-  | Some e, Hit -> (e, Hit)
-  | _, ((Miss | Corrupt _) as outcome) ->
-      (* [interner] stays out of the cache key on purpose: sharing a
-         batch symbol table never changes the produced entry *)
-      let t = Pipeline.analyze ~config ?interner ~file src in
-      let e = entry_of_result t in
-      (* persistence is best-effort: a failed store (disk full, injected
-         I/O fault) costs the next run a recompute, never this run its
-         already-computed result *)
-      (try
-         store ~dir k e;
-         match max_bytes with
-         | Some mb -> ignore (evict ~dir ~max_bytes:mb)
-         | None -> ()
-       with Sys_error _ | Unix.Unix_error _ -> ());
-      (e, outcome)
-  | None, Hit -> assert false
+(* The single-app analysis every path runs, in process or in a
+   supervised worker: with [cache] = (dir, max_bytes), serve the entry
+   on a hit, otherwise analyze, store and return the fresh entry. The
+   outcome tells the caller whether the result came from the cache and
+   whether a corrupt entry was replaced — a corrupt entry never
+   influences the returned result. The address covers [file] as well as
+   the source, because the report prints locations that name the file.
+   [max_bytes] caps the directory size: eviction runs opportunistically
+   after each store, and the just-stored entry carries the newest mtime,
+   so it is the last candidate to go. *)
+let analyze ?(config = Pipeline.default_config) ?cache ~file (src : string) : entry * outcome =
+  let fresh () = entry_of_result (Pipeline.analyze ~config ~file src) in
+  match cache with
+  | None -> (fresh (), Miss)
+  | Some (dir, max_bytes) -> (
+      sweep_on_open ~dir;
+      let k = key ~file ~config src in
+      match find ~dir k with
+      | Some e, Hit -> (e, Hit)
+      | _, ((Miss | Corrupt _) as outcome) ->
+          let e = fresh () in
+          (* persistence is best-effort: a failed store (disk full,
+             injected I/O fault) costs the next run a recompute, never
+             this run its already-computed result *)
+          (try
+             store ~dir k e;
+             match max_bytes with
+             | Some mb -> ignore (evict ~dir ~max_bytes:mb)
+             | None -> ()
+           with Sys_error _ | Unix.Unix_error _ -> ());
+          (e, outcome)
+      | None, Hit -> assert false)

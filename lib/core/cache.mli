@@ -1,7 +1,7 @@
 (** Content-addressed on-disk cache for analysis results.
 
     Entries are addressed by [Digest (source, config rendering, analyzer
-    version)] and store the rendered artifacts of one analysis — warning
+    version, file name)] and store the rendered artifacts of one analysis — warning
     counts, the final report string and the producing run's metrics — so
     a warm re-run of an unchanged input skips analysis entirely while
     staying byte-identical to the cold run. Corrupt or truncated entries
@@ -28,9 +28,11 @@ type outcome = Hit | Miss | Corrupt of Fault.t
 val config_digest : Pipeline.config -> string
 (** Canonical rendering of every result-influencing config field. *)
 
-val key : ?version:string -> config:Pipeline.config -> string -> string
-(** [key ~config src] is the hex cache address of analyzing [src] under
-    [config]; [?version] overrides {!version} (tests). *)
+val key : ?version:string -> ?file:string -> config:Pipeline.config -> string -> string
+(** [key ~file ~config src] is the hex cache address of analyzing [src]
+    named [file] under [config]; [?version] overrides {!version} (tests).
+    Without [file] it is the digest of the source alone, as the journal
+    records it. *)
 
 val path : dir:string -> string -> string
 (** On-disk path of an address ([<dir>/<key>.cache]); exposed for tests
@@ -69,18 +71,13 @@ val evict : dir:string -> max_bytes:int -> int
 val entry_of_result : Pipeline.t -> entry
 
 val analyze :
-  ?config:Pipeline.config ->
-  ?max_bytes:int ->
-  ?interner:Pipeline.interner ->
-  dir:string ->
-  file:string ->
-  string ->
-  entry * outcome
-(** Cached {!Pipeline.analyze}: serve the entry on a hit; otherwise (miss
-    or corrupt entry) analyze, store and return the fresh entry together
-    with the outcome that forced the work. Analysis faults propagate
-    as exceptions exactly like {!Pipeline.analyze}. [max_bytes] runs
-    {!evict} opportunistically after the store; the fresh entry carries
-    the newest mtime, so it is evicted last. [interner] is forwarded to
-    {!Pipeline.analyze} on a miss; it is deliberately not part of the
-    cache key, since sharing cannot change the entry. *)
+  ?config:Pipeline.config -> ?cache:string * int option -> file:string -> string -> entry * outcome
+(** The single-app analysis behind every batch, in process and in a
+    supervised worker. Without [cache] it is {!Pipeline.analyze} rendered
+    into an entry, with outcome [Miss]. With [cache = (dir, max_bytes)] it
+    serves the entry of [(file, source, config)] on a hit; otherwise (miss
+    or corrupt entry) it analyzes, stores and returns the fresh entry
+    together with the outcome that forced the work. Analysis faults
+    propagate as exceptions exactly like {!Pipeline.analyze}. [max_bytes]
+    runs {!evict} opportunistically after the store; the fresh entry
+    carries the newest mtime, so it is evicted last. *)

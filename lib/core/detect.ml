@@ -190,10 +190,10 @@ let solve_race db : (int * int) list =
    fields of uses_f * frees_f) instead of the |uses| * |frees| global
    cross-product with a string comparison per pair. The Datalog [race]
    join itself is unchanged, mirroring Chord's bddbddb pipeline. *)
-let candidate_join ?deadline ?max_tuples ?symbols (esc : Escape.t) (uses : access array)
+let candidate_join ?deadline ?max_tuples (esc : Escape.t) (uses : access array)
     (frees : access array) : (int * int) list =
   let checkpoint = deadline_checkpoint deadline in
-  let db = Nadroid_datalog.Engine.create ?symbols ?max_tuples () in
+  let db = Nadroid_datalog.Engine.create ?max_tuples () in
   let sym = Nadroid_datalog.Engine.symbols db in
   let uid i = "u" ^ string_of_int i and fid i = "f" ^ string_of_int i in
   (* intern every access's field key and row label once, up front; the
@@ -296,8 +296,8 @@ let run_with ?deadline ~join (tf : Threadify.t) (esc : Escape.t) : warning list 
     pairs;
   List.rev_map (fun key -> !(fst (Hashtbl.find table key))) !order
 
-let run ?deadline ?max_tuples ?symbols tf esc =
-  try run_with ?deadline ~join:(candidate_join ?deadline ?max_tuples ?symbols) tf esc
+let run ?deadline ?max_tuples tf esc =
+  try run_with ?deadline ~join:(candidate_join ?deadline ?max_tuples) tf esc
   with Nadroid_datalog.Relation.Out_of_budget ->
     (* the candidate join blew the relation cardinality ceiling; unlike
        the PTA there is no coarser precision to fall back to, so this is

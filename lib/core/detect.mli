@@ -53,7 +53,6 @@ val collect_accesses : ?deadline:float -> Threadify.t -> access list * access li
 val run :
   ?deadline:float ->
   ?max_tuples:int ->
-  ?symbols:Nadroid_datalog.Symbol.t ->
   Threadify.t ->
   Escape.t ->
   warning list
@@ -66,10 +65,7 @@ val run :
     [deadline] (absolute instant) is sampled periodically during access
     collection and alias enumeration; [max_tuples] caps the Datalog
     database cardinality. A partial warning list would be unsound, so
-    either bound expiring raises [Fault (Budget P_detect)].
-
-    [symbols] hands the join's Datalog engine a shared (batch-wide)
-    interning table; results are byte-identical with or without it. *)
+    either bound expiring raises [Fault (Budget P_detect)]. *)
 
 val run_reference : Threadify.t -> Escape.t -> warning list
 (** Oracle for the equivalence property test: identical semantics to

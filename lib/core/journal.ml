@@ -1,17 +1,14 @@
 (* Append-only checkpoint journal for batch runs.
 
    Each completed app — success or structured fault — is appended as one
-   checksummed record in the [Cache.store] framing idiom:
-
-     nadroid-journal 1 <payload-md5-hex> <payload-len>\n<payload>\n
-
-   The payload is the Marshal of a {!record}; the digest guards against
-   bit rot and, more importantly, against the half-written tail a
-   [kill -9] mid-append leaves behind. Replay scans the longest valid
-   prefix and stops at the first record that fails to frame, parse or
-   checksum — everything before that point was flushed before the crash
-   and is trusted; everything after is garbage and is truncated away
-   when the journal is reopened for appending.
+   {!Frame} of magic [nadroid-journal 1] whose payload is the Marshal of
+   a {!record}; the digest guards against bit rot and, more importantly,
+   against the half-written tail a [kill -9] mid-append leaves behind.
+   Replay scans the longest valid prefix and stops at the first record
+   that fails to frame, parse or checksum — everything before that point
+   was flushed before the crash and is trusted; everything after is
+   garbage and is truncated away when the journal is reopened for
+   appending.
 
    Appends are serialized by a mutex (batch tasks run on multiple
    domains) and flushed immediately: a flush hands the bytes to the
@@ -29,43 +26,15 @@ type record = {
 
 type t = { path : string; oc : out_channel; m : Mutex.t }
 
-let frame payload =
-  Printf.sprintf "%s %s %d\n%s\n" magic
-    (Digest.to_hex (Digest.string payload))
-    (String.length payload) payload
-
-let parse_header line =
-  match String.split_on_char ' ' line with
-  | [ m1; m2; digest; len ] when String.equal (m1 ^ " " ^ m2) magic ->
-      Option.map (fun n -> (digest, n)) (int_of_string_opt len)
-  | _ -> None
-
 (* Longest valid record prefix of [raw], with its byte length. *)
 let scan raw =
-  let n = String.length raw in
   let rec go pos acc =
-    if pos >= n then (List.rev acc, pos)
-    else
-      match String.index_from_opt raw pos '\n' with
-      | None -> (List.rev acc, pos)
-      | Some nl -> (
-          match parse_header (String.sub raw pos (nl - pos)) with
-          | None -> (List.rev acc, pos)
-          | Some (digest, len) ->
-              let pstart = nl + 1 in
-              if len < 0 || pstart + len + 1 > n then (List.rev acc, pos)
-              else
-                let payload = String.sub raw pstart len in
-                if
-                  raw.[pstart + len] <> '\n'
-                  || not
-                       (String.equal digest
-                          (Digest.to_hex (Digest.string payload)))
-                then (List.rev acc, pos)
-                else (
-                  match (Marshal.from_string payload 0 : record) with
-                  | r -> go (pstart + len + 1) (r :: acc)
-                  | exception _ -> (List.rev acc, pos)))
+    match Frame.decode ~magic raw pos with
+    | None -> (List.rev acc, pos)
+    | Some (payload, next) -> (
+        match (Marshal.from_string payload 0 : record) with
+        | r -> go next (r :: acc)
+        | exception _ -> (List.rev acc, pos))
   in
   go 0 []
 
@@ -114,7 +83,7 @@ let append t (r : record) : unit =
     ~finally:(fun () -> Mutex.unlock t.m)
     (fun () ->
       Faultinject.trip ~key:r.j_name Faultinject.Journal_append;
-      output_string t.oc (frame (Marshal.to_string r []));
+      output_string t.oc (Frame.encode ~magic (Marshal.to_string r []));
       (* flush per record: the bytes must survive the process, not wait
          for a buffer that dies with it *)
       flush t.oc)

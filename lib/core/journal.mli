@@ -1,11 +1,10 @@
 (** Append-only checkpoint journal for batch runs.
 
     Every completed app — success or structured fault — is appended as
-    one checksummed, length-framed record (the {!Cache.store} framing
-    idiom) and flushed, so it survives the process being killed at any
+    one {!Frame} and flushed, so it survives the process being killed at any
     instant. Replay recovers the longest valid record prefix; the
     half-written tail of a crashed append fails its checksum and is
-    truncated away on reopen. A batch run with [--resume] replays the
+    truncated away on reopen. A {!Batch.run} with [~resume] replays the
     journal and re-analyzes only the apps whose record is missing or
     whose {!Cache.key} changed, producing output byte-identical to an
     uninterrupted run. *)
@@ -41,5 +40,3 @@ val replay : path:string -> record list
 val latest : record list -> (string, record) Hashtbl.t
 (** Index records by [j_name], last record winning — a resumed run may
     have journaled an app once per attempt. *)
-
-val magic : string

@@ -1,18 +1,8 @@
-(* A reusable fixed-size domain pool with a submit/await queue.
-
-   Historically this module spawned fresh domains for every [map] call.
-   The serve daemon needs workers that outlive any one batch — spawning
-   a domain per request would dominate request latency — so the pool is
-   now a first-class value: [Pool.create] spawns the workers once,
-   [Pool.submit] enqueues a task and returns a future, [Pool.await]
-   blocks on its completion, and [Pool.shutdown] drains the queue and
-   joins the workers (graceful: queued work still runs).
-
-   [map_result] keeps its historical contract on top of the pool: input
-   order, crash isolation per slot, and — when no persistent pool is
-   passed — the same domain budget as the old spawn-per-map code (the
-   caller participates in the work via {!Pool.help}, so a transient map
-   on [jobs] still runs at most [jobs] tasks concurrently). *)
+(* Domain parallelism for the analysis drivers. [stream] is the one
+   batch scheduler: every batch — [map_result], [map], {!Batch.run} —
+   runs on it. [Pool] is a persistent submit/await pool for the serve
+   daemon, whose workers must outlive any one request: spawning a domain
+   per request would dominate request latency. *)
 
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
@@ -101,19 +91,6 @@ module Pool = struct
     Mutex.unlock fut.fm;
     r
 
-  let help t =
-    let rec loop () =
-      Mutex.lock t.m;
-      let task = if Queue.is_empty t.queue then None else Some (Queue.pop t.queue) in
-      Mutex.unlock t.m;
-      match task with
-      | None -> ()
-      | Some task ->
-          task ();
-          loop ()
-    in
-    loop ()
-
   let shutdown t =
     Mutex.lock t.m;
     if t.stopping then Mutex.unlock t.m
@@ -125,44 +102,6 @@ module Pool = struct
       t.domains <- []
     end
 end
-
-let map_result ?pool ?jobs (f : 'a -> 'b) (xs : 'a list) : ('b, exn) result list =
-  let n = List.length xs in
-  if n = 0 then []
-  else
-    match pool with
-    | Some p ->
-        (* persistent pool: the caller blocks on the futures rather than
-           stealing work — a server's control loop must stay responsive,
-           not run analyses *)
-        ignore (Pool.jobs p);
-        let futs = List.map (fun x -> Pool.submit p (fun () -> f x)) xs in
-        List.map Pool.await futs
-    | None ->
-        let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-        if jobs = 1 || n = 1 then
-          List.map (fun x -> try Ok (f x) with e -> Error e) xs
-        else begin
-          (* transient pool, same domain budget as the historical
-             spawn-per-map: [min jobs n - 1] workers plus the caller *)
-          let p = Pool.create ~jobs:(min jobs n - 1) () in
-          let futs = List.map (fun x -> Pool.submit p (fun () -> f x)) xs in
-          Pool.help p;
-          let rs = List.map Pool.await futs in
-          Pool.shutdown p;
-          rs
-        end
-
-(* Fail-fast map: every item still runs (all results are computed), but
-   the first failure in input order is re-raised in the caller, so
-   existing callers keep their contract. *)
-let map ?pool ?jobs f xs =
-  let rec unwrap = function
-    | [] -> []
-    | Ok r :: rest -> r :: unwrap rest
-    | Error e :: _ -> raise e
-  in
-  unwrap (map_result ?pool ?jobs f xs)
 
 (* -- streaming batch scheduler ------------------------------------------- *)
 
@@ -297,3 +236,14 @@ let stream ?jobs ?(window = default_window) ?(sched = Steal) ~n
     List.iter Domain.join domains;
     match !failed with Some e -> raise e | None -> ()
   end
+
+(* Crash-isolated map: [stream] collecting into an array. *)
+let map_result ?jobs (f : 'a -> 'b) (xs : 'a list) : ('b, exn) result list =
+  let arr = Array.of_list xs in
+  let out = Array.make (Array.length arr) (Error Not_found) in
+  stream ?jobs ~n:(Array.length arr) (fun i -> f arr.(i)) (fun i r -> out.(i) <- r);
+  Array.to_list out
+
+(* Fail-fast map: every item still runs (all results are computed), but
+   the first failure in input order is re-raised in the caller. *)
+let map ?jobs f xs = List.map (function Ok r -> r | Error e -> raise e) (map_result ?jobs f xs)

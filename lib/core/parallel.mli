@@ -1,15 +1,12 @@
-(** A reusable fixed-size domain pool (OCaml 5 [Domain]/[Mutex]) with a
-    submit/await queue.
+(** Domain parallelism (OCaml 5 [Domain]/[Mutex]).
 
-    Two entry points share the same workers:
-
+    - {!stream}: the batch scheduler — results in input order regardless
+      of scheduling, crash-isolated per slot, bounded memory. {!map_result}
+      and {!map} collect it into a list; {!Batch.run} drives it for
+      analysis batches. Tasks must not share mutable state.
     - {!Pool}: a persistent pool for long-lived processes (the serve
       daemon) — create once, submit tasks as requests arrive, await
-      their futures, shut down gracefully (queued work drains first).
-    - {!map_result}/{!map}: the batch primitive — results in input
-      order regardless of scheduling; tasks must not share mutable
-      state. Pass [?pool] to run a batch on a persistent pool, or omit
-      it for a self-contained map with the historical domain budget. *)
+      their futures, shut down gracefully (queued work drains first). *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], at least 1. *)
@@ -36,31 +33,10 @@ module Pool : sig
   (** Block until the task finishes; its exception, if any, is captured
       in the result, never re-raised into the awaiting domain. *)
 
-  val help : t -> unit
-  (** Run queued tasks in the calling domain until the queue is empty —
-      lets a caller that would otherwise block participate in its own
-      batch (the transient-map path uses this to keep the historical
-      concurrency budget). *)
-
   val shutdown : t -> unit
   (** Graceful: stop accepting work, let the workers drain the queue,
       then join them. Idempotent. *)
 end
-
-val map_result :
-  ?pool:Pool.t -> ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, exn) result list
-(** Crash-isolated map: applies [f] to every element, capturing a task's
-    exception as [Error] in its own slot while the remaining items still
-    run — one poisoned input cannot lose the batch. Deterministic in
-    input order. With [?pool], tasks run on the persistent pool (the
-    caller only awaits); otherwise up to [jobs] (default
-    {!default_jobs}) run concurrently, counting the caller — [jobs = 1]
-    runs in the calling domain with no spawns. *)
-
-val map : ?pool:Pool.t -> ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Fail-fast map on top of {!map_result}: the first failure in input
-    order is re-raised in the caller after the batch completes. Same
-    output as [List.map f xs] whenever [f] is pure. *)
 
 type sched =
   | Static  (** per-domain round-robin split, no rebalancing (baseline) *)
@@ -79,12 +55,21 @@ val stream :
   unit
 (** [stream ~n f emit] computes [f 0 .. f (n-1)] on up to [jobs] domains
     (counting the caller) and calls [emit i result] for every index in
-    strict input order, crash-isolated per slot like {!map_result}. At
-    most [window] indices (default {!default_window}, floored at
+    strict input order. Crash-isolated per slot: a task's exception is
+    captured as [Error] in its own slot while the remaining items still
+    run. At most [window] indices (default {!default_window}, floored at
     [2*jobs]) are past the emission watermark at once, so memory stays
-    bounded independent of [n] — the streaming analogue of
-    {!map_result} for corpus-scale batches. [emit] is serialized on one
-    domain at a time and must not re-enter this module. If [emit]
+    bounded independent of [n]. [emit] is serialized on one domain at a
+    time and must not re-enter this module. If [emit]
     raises, no further results are emitted and the exception is
     re-raised in the caller after in-flight tasks finish. [jobs = 1]
     runs everything sequentially in the calling domain. *)
+
+val map_result : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, exn) result list
+(** {!stream} over a list, collected in input order: one poisoned input
+    costs its own [Error] slot, never the batch. *)
+
+val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** Fail-fast {!map_result}: the first failure in input order is
+    re-raised in the caller after the batch completes. Same output as
+    [List.map f xs] whenever [f] is pure. *)

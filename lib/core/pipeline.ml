@@ -67,14 +67,6 @@ let degradation_to_string = function
 
 type timings = { t_modeling : float; t_detection : float; t_filtering : float }
 
-(* A batch-shared interning table for the detection join's Datalog
-   engine (see {!Nadroid_datalog.Engine.create}). One table per batch
-   hash-conses the common strings — field keys, race atoms — once
-   instead of once per app; sharing never changes results. *)
-type interner = Nadroid_datalog.Symbol.t
-
-let create_interner () : interner = Nadroid_datalog.Symbol.create ()
-
 (* Per-phase wall times plus per-filter prune counts. Every timed region
    of [analyze_prog] is attributed to exactly one field, so the phase
    times sum to the measured wall time (up to the record plumbing between
@@ -168,8 +160,8 @@ type frontend_times = { ft_lex : float; ft_parse : float; ft_sema : float; ft_lo
 
 let no_frontend = { ft_lex = 0.0; ft_parse = 0.0; ft_sema = 0.0; ft_lower = 0.0 }
 
-let analyze_prog ?auto_tuples ?(config = default_config) ?interner
-    ?(frontend = no_frontend) (prog : Prog.t) : t =
+let analyze_prog ?auto_tuples ?(config = default_config) ?(frontend = no_frontend)
+    (prog : Prog.t) : t =
   (* modeling: threadification needs the points-to pass, whose dominant
      cost we attribute to detection as in the paper; modeling time covers
      forest construction *)
@@ -196,8 +188,7 @@ let analyze_prog ?auto_tuples ?(config = default_config) ?interner
   let threads, t_model = time (fun () -> Threadify.run ?deadline pta) in
   let potential, t_detect =
     time (fun () ->
-        Detect.run ?deadline ?max_tuples:config.budgets.pta_tuples ?symbols:interner threads
-          esc)
+        Detect.run ?deadline ?max_tuples:config.budgets.pta_tuples threads esc)
   in
   (* context construction belongs to the filtering phase: leaving it
      untimed made the §8.8 breakdown fall short of wall time *)
@@ -345,7 +336,7 @@ let auto_pta_steps ~loc = 5_000 + (500 * loc)
    still bounding a pathological heap explosion. *)
 let auto_pta_tuples ~loc = 5_000 + (100 * loc)
 
-let analyze ?(config = default_config) ?interner ~file src : t =
+let analyze ?(config = default_config) ~file src : t =
   (* no explicit budgets: derive them from the source size, so every
      file-level entry point is bounded by default ([--budget-pta] /
      [--budget-tuples] and explicit [budgets] fields still override) *)
@@ -371,8 +362,7 @@ let analyze ?(config = default_config) ?interner ~file src : t =
   let ast, ft_parse = time (fun () -> Parser.parse_program_tokens ~file toks) in
   let sema, ft_sema = time (fun () -> Sema.analyze ast) in
   let prog, ft_lower = time (fun () -> Prog.of_sema sema) in
-  analyze_prog ?auto_tuples ~config ?interner ~frontend:{ ft_lex; ft_parse; ft_sema; ft_lower }
-    prog
+  analyze_prog ?auto_tuples ~config ~frontend:{ ft_lex; ft_parse; ft_sema; ft_lower } prog
 
 (* Counts for the Table 1 row of an app. *)
 type row = {

@@ -67,17 +67,6 @@ val degradation_to_string : degradation -> string
 
 type timings = { t_modeling : float; t_detection : float; t_filtering : float }
 
-type interner = Nadroid_datalog.Symbol.t
-(** A batch-shared, hash-consed interning table for the detection
-    join's Datalog engine. Create one per batch and pass it to every
-    {!analyze} of the batch: the common strings (field keys, race
-    atoms) are interned once instead of once per app. It is thread-safe
-    (safe to share across the parallel workers of one batch), and
-    sharing never changes any report — engine iteration order is
-    insertion-ordered, independent of id assignment. *)
-
-val create_interner : unit -> interner
-
 (** Per-phase wall times plus per-filter prune counts. Every timed
     region of the analysis is attributed to exactly one field, so
     {!phase_sum} equals [m_wall] up to the plumbing between clock
@@ -136,17 +125,15 @@ type t = {
 type frontend_times = { ft_lex : float; ft_parse : float; ft_sema : float; ft_lower : float }
 
 val analyze_prog :
-  ?auto_tuples:int -> ?config:config -> ?interner:interner -> ?frontend:frontend_times ->
-  Prog.t -> t
+  ?auto_tuples:int -> ?config:config -> ?frontend:frontend_times -> Prog.t -> t
 (** [auto_tuples] is the size-derived tuple ceiling {!analyze} passes
     down: it bounds the points-to table only (recoverable down the k
     ladder) and is ignored when [config.budgets.pta_tuples] is set. An
     explicit [pta_tuples] additionally hard-bounds the detection join's
     Datalog database, where no sound partial result exists.
 
-    [interner] hands the detection join a batch-shared symbol table;
     [frontend] carries the frontend timings of the program being
-    analysed (zero when omitted). Neither changes any result. *)
+    analysed (zero when omitted); it changes no result. *)
 
 val auto_pta_steps : loc:int -> int
 (** Default PTA step budget for a [loc]-line app — the budget
@@ -159,15 +146,14 @@ val auto_pta_tuples : loc:int -> int
     [5000 + 100*loc], ~18x above the worst observed k=2 points-to
     tuples-per-line (~5.5) over the corpus and the Synth generator. *)
 
-val analyze : ?config:config -> ?interner:interner -> file:string -> string -> t
+val analyze : ?config:config -> file:string -> string -> t
 (** Parse, typecheck, lower and analyse a MiniAndroid source, timing
     the four frontend phases into the run's [m_frontend_*] metrics.
     When the config carries no explicit [pta_steps] / [pta_tuples]
     budget, one is derived from the source size via {!auto_pta_steps} /
     {!auto_pta_tuples} (the derived tuple ceiling bounds the points-to
     table only); {!analyze_prog} never derives budgets itself (it has no
-    source to size). [interner] shares one symbol table across a batch
-    of analyses without changing any result. *)
+    source to size). *)
 
 (** Counts for an app's Table 1 row. *)
 type row = {

@@ -16,11 +16,10 @@
      call {!worker_check} as their first statement: in a marked process
      it runs the worker loop on stdin/stdout and never returns.
 
-   - The request/reply protocol is Marshal in the checksummed,
-     length-framed [Cache.store] idiom over the two pipes. Requests
-     carry (file, source, config, cache settings); replies carry
-     [(Cache.entry, Fault.t) result] — entries and faults are plain
-     data, safe to Marshal, unlike a full [Pipeline.t].
+   - The request/reply protocol is Marshal in {!Frame}s over the two
+     pipes. Requests carry (file, source, config, cache settings);
+     replies carry [(Cache.entry, Fault.t) result] — entries and faults
+     are plain data, safe to Marshal, unlike a full [Pipeline.t].
 
    - The supervisor (any calling domain) checks a worker out, writes the
      request, and reads the reply with an optional heartbeat deadline.
@@ -44,124 +43,6 @@ type request = {
 
 type reply = (Cache.entry, Fault.t) result
 
-(* -- framing over raw fds -------------------------------------------------- *)
-
-let frame payload =
-  Printf.sprintf "%s %s %d\n%s\n" magic
-    (Digest.to_hex (Digest.string payload))
-    (String.length payload) payload
-
-let parse_header line =
-  match String.split_on_char ' ' line with
-  | [ m1; m2; digest; len ] when String.equal (m1 ^ " " ^ m2) magic ->
-      Option.map (fun n -> (digest, n)) (int_of_string_opt len)
-  | _ -> None
-
-exception Timeout
-
-(* Write all of [s] to [fd], honouring [deadline] (absolute monotonic
-   time). With a deadline the fd must be non-blocking: every chunk is
-   gated by a deadline-bounded select, so a worker that wedges and stops
-   draining its request pipe mid-frame — requests embed the full source,
-   easily past pipe capacity — surfaces as [Timeout] instead of blocking
-   the supervisor domain forever. *)
-let write_all ?deadline fd s =
-  let n = String.length s in
-  let b = Bytes.unsafe_of_string s in
-  let rec wait () =
-    let left =
-      match deadline with
-      | None -> -1.0
-      | Some d ->
-          let left = d -. Nadroid_clock.Clock.now () in
-          if left <= 0.0 then raise Timeout;
-          left
-    in
-    match Unix.select [] [ fd ] [] left with
-    | _, [], _ -> raise Timeout
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-  in
-  let rec go off =
-    if off < n then
-      match Unix.write fd b off (n - off) with
-      | w -> go (off + w)
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          wait ();
-          go off
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
-
-(* Read exactly [n] more bytes into [buf], honouring [deadline] (absolute
-   monotonic time) via select before every read. Returns false on EOF. *)
-let read_into ?deadline fd buf n =
-  let chunk = Bytes.create (min (max n 1) 65536) in
-  let rec go remaining =
-    if remaining = 0 then true
-    else begin
-      (match deadline with
-      | None -> ()
-      | Some d ->
-          let left = d -. Nadroid_clock.Clock.now () in
-          if left <= 0.0 then raise Timeout
-          else
-            let rec wait left =
-              match Unix.select [ fd ] [] [] left with
-              | [], _, _ -> raise Timeout
-              | _ -> ()
-              | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-                  let left = d -. Nadroid_clock.Clock.now () in
-                  if left <= 0.0 then raise Timeout else wait left
-            in
-            wait left);
-      let r = Unix.read fd chunk 0 (min remaining 65536) in
-      if r = 0 then false
-      else begin
-        Buffer.add_subbytes buf chunk 0 r;
-        go (remaining - r)
-      end
-    end
-  in
-  go n
-
-(* One frame from [fd]. [None] on clean EOF at a frame boundary; raises
-   [Failure] on a garbled frame, [Timeout] past the deadline. Lines that
-   are not frame headers are skipped (up to a cap): a host binary's
-   module initializers — test harnesses especially — may print to
-   stdout before the worker loop claims the reply pipe, and that noise
-   must not read as worker death. The payload checksum still guards
-   every byte that matters. *)
-let read_frame ?deadline fd : string option =
-  let rec frames skipped =
-    if skipped > 1_000_000 then failwith "no frame in 1MB of pipe output";
-    let buf = Buffer.create 256 in
-    (* header: read byte-wise up to the newline (headers are ~60 bytes
-       and there is exactly one request in flight, so not a hot path) *)
-    let rec header () =
-      let before = Buffer.length buf in
-      if not (read_into ?deadline fd buf 1) then
-        if before = 0 then None else failwith "truncated frame header"
-      else if Buffer.nth buf before = '\n' then Some (Buffer.sub buf 0 before)
-      else header ()
-    in
-    match header () with
-    | None -> None
-    | Some line -> (
-        match parse_header line with
-        | None -> frames (skipped + String.length line + 1)
-        | Some (digest, len) ->
-            let body = Buffer.create (len + 1) in
-            if not (read_into ?deadline fd body (len + 1)) then
-              failwith "truncated frame payload";
-            let payload = Buffer.sub body 0 len in
-            if Buffer.nth body len <> '\n' then failwith "bad frame terminator";
-            if not (String.equal digest (Digest.to_hex (Digest.string payload)))
-            then failwith "frame checksum mismatch";
-            Some payload)
-  in
-  frames 0
-
 (* -- worker (child) side --------------------------------------------------- *)
 
 let is_worker () = Sys.getenv_opt env_var <> None
@@ -172,11 +53,7 @@ let analyze_request (q : request) : reply =
          structured fault in this app's entry; [Kill]/[Abort]/[Wedge]
          manufacture the crashes the supervisor exists to survive *)
       Faultinject.trip ~key:(Filename.basename q.q_file) Faultinject.Worker_task;
-      match q.q_cache with
-      | Some (dir, max_bytes) ->
-          fst (Cache.analyze ~config:q.q_config ?max_bytes ~dir ~file:q.q_file q.q_source)
-      | None ->
-          Cache.entry_of_result (Pipeline.analyze ~config:q.q_config ~file:q.q_file q.q_source))
+      fst (Cache.analyze ~config:q.q_config ?cache:q.q_cache ~file:q.q_file q.q_source))
 
 let worker_main () =
   (* claim the reply pipe: move it to a private fd and point fd 1 at
@@ -193,12 +70,12 @@ let worker_main () =
       exit 2);
   ignore (Lazy.force Nadroid_lang.Builtins.program);
   let rec loop () =
-    match read_frame Unix.stdin with
+    match Frame.read ~magic Unix.stdin with
     | None -> exit 0
     | Some payload ->
         let q : request = Marshal.from_string payload 0 in
         let r = analyze_request q in
-        write_all reply_fd (frame (Marshal.to_string (r : reply) []));
+        Frame.write ~magic reply_fd (Marshal.to_string (r : reply) []);
         loop ()
   in
   try loop ()
@@ -271,7 +148,7 @@ let spawn_one () : worker =
       Unix.close req_r;
       Unix.close resp_w;
       (* non-blocking on our write end only (the child's stdin copy is
-         unaffected), so [write_all] can bound it with the heartbeat *)
+         unaffected), so [Frame.write] can bound it with the heartbeat *)
       Unix.set_nonblock req_w;
       { pid; w_in = req_w; w_out = resp_r }
   | exception e ->
@@ -378,13 +255,13 @@ let attempt t w payload : (string, string) result =
     Option.map (fun h -> Nadroid_clock.Clock.now () +. h) t.heartbeat
   in
   match
-    write_all ?deadline w.w_in (frame payload);
+    Frame.write ?deadline ~magic w.w_in payload;
     Faultinject.trip Faultinject.Worker_pipe_read;
-    read_frame ?deadline w.w_out
+    Frame.read ?deadline ~magic w.w_out
   with
   | Some reply -> Ok reply
   | None -> Error "worker closed the pipe"
-  | exception Timeout ->
+  | exception Frame.Timeout ->
       Error
         (Printf.sprintf "heartbeat timeout after %gs"
            (Option.value t.heartbeat ~default:0.0))

@@ -1,7 +1,7 @@
 (** Supervised worker processes: per-app analysis in expendable
     children.
 
-    In-process crash isolation ({!Parallel.map_result}) catches
+    In-process crash isolation ({!Parallel.stream}) catches
     exceptions; it cannot catch a SIGSEGV, an OOM-kill, or a wedged
     analysis. A supervised pool runs each app in a child process
     (fork+exec of [Sys.executable_name] with an environment marker) and

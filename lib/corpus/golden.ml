@@ -8,18 +8,14 @@
    (byte-identical on a second run, since the pipeline and the report
    renderer are deterministic). *)
 
-module Pipeline = Nadroid_core.Pipeline
-module Report = Nadroid_core.Report
 module Fault = Nadroid_core.Fault
 module Cache = Nadroid_core.Cache
+module Batch = Nadroid_core.Batch
 
 let canonical_of_entry (app : Corpus.app) (e : Cache.entry) : string =
   Printf.sprintf "app: %s\npotential: %d\nafter-sound: %d\nafter-unsound: %d\n\n%s"
     app.Corpus.name e.Cache.e_potential e.Cache.e_after_sound e.Cache.e_after_unsound
     e.Cache.e_report
-
-let canonical (app : Corpus.app) (t : Pipeline.t) : string =
-  canonical_of_entry app (Cache.entry_of_result t)
 
 let filename (app : Corpus.app) = app.Corpus.name ^ ".expected"
 
@@ -30,30 +26,17 @@ let filename (app : Corpus.app) = app.Corpus.name ^ ".expected"
    prints, so a warm pass is byte-identical to a cold one (the CI
    cold-then-warm gate). *)
 let render_all ?jobs ?cache_dir () : (Corpus.app * string) list =
-  match cache_dir with
-  | None ->
-      List.map
-        (fun (app, r) ->
-          match r with
-          | Ok t -> (app, canonical app t)
-          | Error f -> raise (Fault.Fault f))
-        (Corpus.analyze_all ?jobs (Lazy.force Corpus.all))
-  | Some dir ->
-      let apps = Lazy.force Corpus.all in
-      ignore (Lazy.force Nadroid_lang.Builtins.program);
-      (* batch-shared symbol table for the cache misses (safe: not part
-         of the cache key, cannot change an entry) *)
-      let interner = Pipeline.create_interner () in
-      List.map2
-        (fun (app : Corpus.app) r ->
-          match r with
-          | Ok (e, _outcome) -> (app, canonical_of_entry app e)
-          | Error exn -> raise (Fault.Fault (Fault.of_exn exn)))
-        apps
-        (Nadroid_core.Parallel.map_result ?jobs
-           (fun (app : Corpus.app) ->
-             Cache.analyze ~interner ~dir ~file:app.Corpus.name app.Corpus.source)
-           apps)
+  let apps = Array.of_list (Lazy.force Corpus.all) in
+  let out = Array.make (Array.length apps) "" in
+  ignore
+    (Batch.run ?jobs
+       ?cache:(Option.map (fun dir -> (dir, None)) cache_dir)
+       (Array.map (fun (a : Corpus.app) -> (a.Corpus.name, fun () -> a.Corpus.source)) apps)
+       (fun i r ->
+         match r with
+         | Ok (e, _outcome) -> out.(i) <- canonical_of_entry apps.(i) e
+         | Error f -> raise (Fault.Fault f)));
+  List.combine (Array.to_list apps) (Array.to_list out)
 
 type status =
   | G_ok

@@ -3,14 +3,11 @@
     bless operation to regenerate them. Rendering is deterministic, so
     blessing twice produces byte-identical files. *)
 
-val canonical : Corpus.app -> Nadroid_core.Pipeline.t -> string
-(** Pipeline counts plus the rendered warning report under the default
-    configuration. *)
-
 val canonical_of_entry : Corpus.app -> Nadroid_core.Cache.entry -> string
-(** Same canonical form, rebuilt from a cache entry — [canonical app t =
-    canonical_of_entry app (Cache.entry_of_result t)], which is what
-    makes warm golden passes byte-identical to cold ones. *)
+(** Pipeline counts plus the rendered warning report under the default
+    configuration, from the app's cache entry — cached and uncached
+    passes render the same entry, which is what makes warm golden passes
+    byte-identical to cold ones. *)
 
 val filename : Corpus.app -> string
 (** ["<name>.expected"]. *)

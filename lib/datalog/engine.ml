@@ -25,15 +25,9 @@ type t = {
   mutable solved : bool;
 }
 
-(* [symbols] lets a batch of engines share one hash-consed interning
-   table (it is thread-safe): the common strings — field keys, framework
-   entity names — are interned once per batch instead of once per app.
-   Safe for determinism because no engine output depends on id values:
-   relations iterate in insertion order (see {!Relation.iter}) and
-   {!query} restores names. *)
-let create ?symbols ?max_tuples () =
+let create ?max_tuples () =
   {
-    sym = (match symbols with Some s -> s | None -> Symbol.create ());
+    sym = Symbol.create ();
     relations = Hashtbl.create 32;
     budget = Option.map (fun limit -> Relation.budget ~limit) max_tuples;
     rules = [];

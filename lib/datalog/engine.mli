@@ -20,14 +20,8 @@ type rule = { head : atom; body : literal list }
 
 type t
 
-val create : ?symbols:Symbol.t -> ?max_tuples:int -> unit -> t
-(** [symbols] makes the engine intern into an existing (shared,
-    thread-safe) table instead of a private one — one hash-consed
-    domain per batch of engines. Sharing never changes any engine
-    output: relation iteration is insertion-ordered, independent of the
-    id values a shared table happens to assign.
-
-    [max_tuples] caps the combined cardinality of all persistent
+val create : ?max_tuples:int -> unit -> t
+(** [max_tuples] caps the combined cardinality of all persistent
     relations (one shared {!Relation.budget}); transient semi-naive
     deltas are exempt, as they only mirror already-charged tuples.
     {!Relation.add} — hence {!fact}/{!facts}/{!solve} — raises

@@ -14,6 +14,7 @@
 
 module Clock = Nadroid_clock.Clock
 module Pipeline = Nadroid_core.Pipeline
+module Batch = Nadroid_core.Batch
 module Filters = Nadroid_core.Filters
 module Fault = Nadroid_core.Fault
 module Cache = Nadroid_core.Cache
@@ -110,26 +111,13 @@ let run_analyze cfg spool (a : Protocol.analyze) =
   with
   | Error e -> Protocol.error_response (Printf.sprintf "cannot read input: %s" e)
   | Ok src ->
-      let config = analyze_config cfg a in
-      let use_cache = Option.value ~default:false a.Protocol.a_cache in
-      let result =
-        match spool with
-        | Some sp ->
-            Supervise.analyze sp ~config
-              ?cache:
-                (if use_cache then Some (cfg.cache_dir, cfg.cache_max_bytes)
-                 else None)
-              ~file:name src
-        | None ->
-            Fault.wrap (fun () ->
-                if use_cache then
-                  fst
-                    (Cache.analyze ~config ?max_bytes:cfg.cache_max_bytes
-                       ~dir:cfg.cache_dir ~file:name src)
-                else
-                  Cache.entry_of_result (Pipeline.analyze ~config ~file:name src))
+      let cache =
+        if Option.value ~default:false a.Protocol.a_cache then
+          Some (cfg.cache_dir, cfg.cache_max_bytes)
+        else None
       in
-      Protocol.analyze_response ~name result
+      let result = Batch.analyze spool ?cache ~config:(analyze_config cfg a) ~file:name src in
+      Protocol.analyze_response ~name (Result.map fst result)
 
 (* -- connection state (loop side) ---------------------------------------- *)
 

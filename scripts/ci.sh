@@ -256,9 +256,8 @@ esac
 rm -rf "$fleet_dir"
 
 # 17. Frontend gate: (a) the frontend-equivalence group — table-driven
-#     lexer, token-array parser and batch-shared interning must be
-#     byte-identical to the reference paths on 200 generated apps and
-#     the corpus, and count_loc must agree with the naive LOC-spec
+#     lexer and token-array parser must be byte-identical to the
+#     reference paths on 200 generated apps and the corpus, and count_loc must agree with the naive LOC-spec
 #     scanner on every corpus app; (b) perf smoke — the cold corpus
 #     batch must not regress >20% against the committed BENCH_9
 #     trajectory point. Step 9 already overwrote the working-tree
@@ -286,5 +285,17 @@ else
   echo "ci: no committed BENCH_9.json at HEAD; skipping perf smoke" >&2
 fi
 rm -f "$baseline_json"
+
+# 18. Benchmark self-tests: seeded inputs, the percentile rule and the
+#     output checks of perfbench/run.py (a flipped golden byte or a
+#     drifted reference must fail the benchmark).
+python3 -m unittest discover -s perfbench/tests
+
+# 19. Code size: the line counts of lib/, bin/ and bench/ (.ml and .mli),
+#     printed on every run so the ROADMAP's figures can be re-checked.
+for d in lib bin bench; do
+  lines=$(find "$d" \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l)
+  echo "ci: $d: $lines lines (.ml/.mli)"
+done
 
 echo "ci: ok"

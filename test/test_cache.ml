@@ -38,9 +38,9 @@ let check_entry_equal msg (a : Cache.entry) (b : Cache.entry) =
 let warm_hit_is_byte_identical () =
   with_dir (fun dir ->
       let a = app () in
-      let cold, o1 = Cache.analyze ~dir ~file:a.Corpus.name a.Corpus.source in
+      let cold, o1 = Cache.analyze ~cache:(dir, None) ~file:a.Corpus.name a.Corpus.source in
       (match o1 with Cache.Miss -> () | _ -> Alcotest.fail "first run must miss");
-      let warm, o2 = Cache.analyze ~dir ~file:a.Corpus.name a.Corpus.source in
+      let warm, o2 = Cache.analyze ~cache:(dir, None) ~file:a.Corpus.name a.Corpus.source in
       (match o2 with Cache.Hit -> () | _ -> Alcotest.fail "second run must hit");
       check_entry_equal "warm = cold" cold warm;
       (* and both match the uncached pipeline *)
@@ -95,8 +95,8 @@ let version_bump_busts () =
 let corruption_is_a_surfaced_miss mangle () =
   with_dir (fun dir ->
       let a = app () in
-      let cold, _ = Cache.analyze ~dir ~file:a.Corpus.name a.Corpus.source in
-      let k = Cache.key ~config:Pipeline.default_config a.Corpus.source in
+      let cold, _ = Cache.analyze ~cache:(dir, None) ~file:a.Corpus.name a.Corpus.source in
+      let k = Cache.key ~file:a.Corpus.name ~config:Pipeline.default_config a.Corpus.source in
       let p = Filename.concat dir (k ^ ".cache") in
       let raw =
         let ic = open_in_bin p in
@@ -111,7 +111,7 @@ let corruption_is_a_surfaced_miss mangle () =
       | Some _, _ -> Alcotest.fail "corrupt entry must not decode"
       | None, (Cache.Hit | Cache.Miss | Cache.Corrupt _) ->
           Alcotest.fail "expected a Corrupt outcome carrying an Internal fault");
-      let again, o = Cache.analyze ~dir ~file:a.Corpus.name a.Corpus.source in
+      let again, o = Cache.analyze ~cache:(dir, None) ~file:a.Corpus.name a.Corpus.source in
       (match o with
       | Cache.Corrupt (Fault.Internal _) -> ()
       | _ -> Alcotest.fail "analyze must surface the corruption");
@@ -213,7 +213,7 @@ let eviction_caps_corpus_batch () =
       let cap = 32 * 1024 in
       List.iter
         (fun (a : Corpus.app) ->
-          ignore (Cache.analyze ~max_bytes:cap ~dir ~file:a.Corpus.name a.Corpus.source);
+          ignore (Cache.analyze ~cache:(dir, Some cap) ~file:a.Corpus.name a.Corpus.source);
           Alcotest.(check bool)
             (a.Corpus.name ^ ": cache at or below the cap")
             true

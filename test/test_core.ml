@@ -292,20 +292,6 @@ let parallel_tests =
         Alcotest.check_raises "submit after shutdown rejected"
           (Invalid_argument "Parallel.Pool.submit: pool is shut down") (fun () ->
             ignore (Parallel.Pool.submit pool (fun () -> ()))));
-    Alcotest.test_case "map_result rides a shared pool" `Quick (fun () ->
-        let pool = Parallel.Pool.create ~jobs:2 () in
-        let xs = List.init 30 Fun.id in
-        Alcotest.(check (list int))
-          "input order" (List.map (fun x -> x * 3) xs)
-          (List.map
-             (function Ok v -> v | Error e -> raise e)
-             (Parallel.map_result ~pool (fun x -> x * 3) xs));
-        (* the pool survives the batch, unlike the transient path *)
-        Alcotest.(check int) "pool still alive" 7
-          (match Parallel.Pool.await (Parallel.Pool.submit pool (fun () -> 7)) with
-          | Ok v -> v
-          | Error e -> raise e);
-        Parallel.Pool.shutdown pool);
   ]
 
 let metrics_tests =

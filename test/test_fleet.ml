@@ -329,8 +329,8 @@ let eviction_under_pressure () =
         (fun i ->
           let a = plan.(i) in
           fst
-            (Cache.analyze ~config ~max_bytes:cap ~dir
-               ~file:a.Megacorpus.mc_name (Megacorpus.source a)))
+            (Cache.analyze ~config ~cache:(dir, Some cap) ~file:a.Megacorpus.mc_name
+               (Megacorpus.source a)))
         (fun _ r ->
           match r with
           | Ok _ -> if Cache.dir_bytes ~dir > cap + slack then incr over
@@ -360,7 +360,7 @@ let eviction_under_pressure () =
       let survivor = ref None and evictee = ref None in
       Array.iter
         (fun (a : Megacorpus.app) ->
-          let key = Cache.key ~config (Megacorpus.source a) in
+          let key = Cache.key ~file:a.Megacorpus.mc_name ~config (Megacorpus.source a) in
           match Cache.find ~dir key with
           | Some e, Cache.Hit -> if !survivor = None then survivor := Some (a, e)
           | None, Cache.Miss -> if !evictee = None then evictee := Some a
@@ -373,7 +373,7 @@ let eviction_under_pressure () =
       | None -> Alcotest.fail "no evicted entry found"
       | Some a -> (
           match
-            Cache.analyze ~config ~max_bytes:cap ~dir ~file:a.Megacorpus.mc_name
+            Cache.analyze ~config ~cache:(dir, Some cap) ~file:a.Megacorpus.mc_name
               (Megacorpus.source a)
           with
           | e, Cache.Miss -> entry_equal "evictee recomputes identically" (fresh a) e

@@ -3,16 +3,11 @@
    The table-driven lexer and the array-cursor parser are pure speed
    refactors: every observable — token streams with locations, ASTs,
    and final analysis reports — must be byte-identical to the
-   reference implementations. The same holds for batch-shared
-   interning: handing every analysis of a batch one hash-consed symbol
-   table must never change a report, because engine iteration order is
-   insertion-ordered and thus independent of id assignment. These
-   properties are checked over 200 generated apps and the whole
+   reference implementations. These properties are checked over 200 generated apps and the whole
    27-app corpus. *)
 
 open Nadroid_lang
 module Pipeline = Nadroid_core.Pipeline
-module Cache = Nadroid_core.Cache
 module Corpus = Nadroid_corpus.Corpus
 module Synth = Nadroid_corpus.Synth
 
@@ -111,23 +106,6 @@ let parser_equiv =
       = Parser.parse_program_tokens ~file:"synth"
           (Lexer.Reference.tokens ~file:"synth" src))
 
-let entry_key (e : Cache.entry) =
-  (e.Cache.e_potential, e.Cache.e_after_sound, e.Cache.e_after_unsound, e.Cache.e_report)
-
-let entry_of src ?interner name =
-  Cache.entry_of_result (Pipeline.analyze ?interner ~file:name src)
-
-(* One table accumulating across all 100 runs of the property — exactly
-   the batch-sharing shape: by the later runs the shared table's ids
-   bear no relation to a fresh table's, so byte-identity here proves
-   the engine's output is id-independent. *)
-let interner_equiv =
-  let shared = Pipeline.create_interner () in
-  QCheck2.Test.make ~name:"shared-interner report = fresh-interner report" ~count:100
-    gen_seed (fun seed ->
-      let src = synth_src seed in
-      entry_key (entry_of src "synth") = entry_key (entry_of src ~interner:shared "synth"))
-
 (* -- corpus sweeps -------------------------------------------------------- *)
 
 (* Naive restatement of the LOC spec ("a line counts iff it carries at
@@ -205,34 +183,12 @@ let corpus_tests =
               (Parser.parse_program ~file:name src
               = Parser.parse_program_tokens ~file:name ref_toks))
           (Lazy.force Corpus.all));
-    Alcotest.test_case "corpus: batch-shared interning is byte-identical" `Slow
-      (fun () ->
-        let apps = Lazy.force Corpus.all in
-        let fresh =
-          List.map (fun (a : Corpus.app) -> entry_of a.Corpus.source a.Corpus.name) apps
-        in
-        (* share one table across the batch, analyzed in REVERSE order so
-           the interned ids disagree maximally with the fresh runs *)
-        let shared_tbl = Pipeline.create_interner () in
-        let shared =
-          List.rev
-            (List.map
-               (fun (a : Corpus.app) ->
-                 entry_of a.Corpus.source ~interner:shared_tbl a.Corpus.name)
-               (List.rev apps))
-        in
-        List.iter2
-          (fun (a : Corpus.app) (f, s) ->
-            Alcotest.(check bool) (a.Corpus.name ^ ": report bytes identical") true
-              (entry_key f = entry_key s))
-          apps
-          (List.combine fresh shared));
   ]
 
 let suite =
   [
     ("frontend", bom_tests @ escape_tests @ loc_tests);
     ( "frontend-equivalence",
-      List.map QCheck_alcotest.to_alcotest [ lexer_equiv; parser_equiv; interner_equiv ]
+      List.map QCheck_alcotest.to_alcotest [ lexer_equiv; parser_equiv ]
       @ corpus_tests );
   ]
