@@ -15,31 +15,24 @@ type t = {
   escaping : IntSet.t;  (** object ids accessible to >= 2 threads or statics *)
 }
 
-(* Instances reachable from [entry] through ordinary calls. *)
-let intra_thread_instances = Pta.intra_instances
-
-(* One pass over the points-to table, grouping objects by instance and
-   building the field-successor map — [run] then works off these maps
-   instead of rescanning the table per thread entry. *)
-let index_pts pta : (int, IntSet.t) Hashtbl.t * (int, IntSet.t) Hashtbl.t * IntSet.t =
-  let by_inst = Hashtbl.create 256 in
-  let by_field = Hashtbl.create 256 in
-  let statics = ref IntSet.empty in
-  let add tbl key s =
-    match Hashtbl.find_opt tbl key with
-    | Some cur -> Hashtbl.replace tbl key (IntSet.union cur s)
-    | None -> Hashtbl.replace tbl key s
-  in
+(* One pass over the points-to table, filing each non-empty cell under
+   its instance or its base object without merging: [run]'s closures
+   visit the sets in turn and their stamps absorb the overlap, so no
+   union is ever built. *)
+let index_pts pta : IntSet.t list array * IntSet.t list array * IntSet.t list =
+  let by_inst = Array.make (max 1 (Pta.n_instances pta)) [] in
+  let by_obj = Array.make (max 1 (Pta.n_objects pta)) [] in
+  let statics = ref [] in
   Pta.NodeTbl.iter
     (fun node c ->
-      match node with
-      | Pta.Nvar (i, _) | Pta.Nret i -> add by_inst i c.Pta.c_pts
-      | Pta.Nfld (o, _) -> add by_field o c.Pta.c_pts
-      | Pta.Nstatic _ -> statics := IntSet.union !statics c.Pta.c_pts)
+      let s = c.Pta.c_pts in
+      if not (IntSet.is_empty s) then
+        match node with
+        | Pta.Nvar (i, _) | Pta.Nret i -> by_inst.(i) <- s :: by_inst.(i)
+        | Pta.Nfld (o, _) -> by_obj.(o) <- s :: by_obj.(o)
+        | Pta.Nstatic _ -> statics := s :: !statics)
     pta.Pta.pts;
-  (by_inst, by_field, !statics)
-
-let lookup tbl key = Option.value ~default:IntSet.empty (Hashtbl.find_opt tbl key)
+  (by_inst, by_obj, !statics)
 
 let thread_entries pta : int list =
   let roots = List.map (fun r -> r.Pta.r_instance) (Pta.roots pta) in
@@ -50,42 +43,43 @@ let thread_entries pta : int list =
   in
   List.sort_uniq Int.compare (roots @ posted)
 
-(* The per-entry closures run on dense arrays — a byte-array visited mark
-   and an adjacency array over field successors — because every thread
-   entry reaches most of the heap, so functional-set DFS per entry was
-   the pipeline's hottest loop. The resulting escaping set is
-   unchanged. *)
+(* The per-entry closures run on dense arrays: the field successors
+   filed per object, a per-object count, and a per-object stamp naming
+   the last entry that reached it (no per-entry clearing). A closure
+   stops at an object two earlier entries already reached: each of them
+   completed its own closure below that object, so every object under
+   it already counts >= 2 and the escaping set is exactly the one an
+   unpruned walk gives. Each object is therefore descended through at
+   most twice across all entries, plus once per entry that stops at
+   it. *)
 let run (pta : Pta.t) : t =
-  let by_inst, by_field, statics = index_pts pta in
-  let n_objs = max 1 (Pta.n_objects pta) in
-  let field_succ = Array.make n_objs [] in
-  Hashtbl.iter (fun o s -> field_succ.(o) <- IntSet.elements s) by_field;
-  let mark = Bytes.make n_objs '\000' in
-  (* field-reachability closure of the seeds; [visit] fires once per
-     newly reached object *)
-  let closure seed_iter visit =
-    Bytes.fill mark 0 n_objs '\000';
-    let rec go oid =
-      if Bytes.get mark oid = '\000' then begin
-        Bytes.set mark oid '\001';
-        visit oid;
-        List.iter go field_succ.(oid)
-      end
-    in
-    seed_iter go
-  in
+  let by_inst, field_succ, statics = index_pts pta in
+  let n_objs = Array.length field_succ in
   (* objects seen by at least two thread entries escape *)
   let counts = Array.make n_objs 0 in
-  List.iter
-    (fun entry ->
-      let insts = intra_thread_instances pta entry in
-      closure
-        (fun go -> IntSet.iter (fun i -> IntSet.iter go (lookup by_inst i)) insts)
-        (fun oid -> counts.(oid) <- counts.(oid) + 1))
+  let stamp = Array.make n_objs (-1) in
+  List.iteri
+    (fun gen entry ->
+      let rec go oid =
+        if stamp.(oid) <> gen && counts.(oid) < 2 then begin
+          stamp.(oid) <- gen;
+          counts.(oid) <- counts.(oid) + 1;
+          List.iter (IntSet.iter go) field_succ.(oid)
+        end
+      in
+      IntSet.iter
+        (fun i -> List.iter (IntSet.iter go) by_inst.(i))
+        (Pta.intra_instances pta entry))
     (thread_entries pta);
   (* statics escape unconditionally *)
   let escaping = ref IntSet.empty in
-  closure (fun go -> IntSet.iter go statics) (fun oid -> escaping := IntSet.add oid !escaping);
+  let rec from_static oid =
+    if not (IntSet.mem oid !escaping) then begin
+      escaping := IntSet.add oid !escaping;
+      List.iter (IntSet.iter from_static) field_succ.(oid)
+    end
+  in
+  List.iter (IntSet.iter from_static) statics;
   Array.iteri (fun oid n -> if n >= 2 then escaping := IntSet.add oid !escaping) counts;
   { escaping = !escaping }
 

@@ -11,9 +11,6 @@ type t = {
   escaping : IntSet.t;  (** object ids accessible to >= 2 threads or statics *)
 }
 
-val intra_thread_instances : Pta.t -> int -> IntSet.t
-(** Instances reachable from an entry through ordinary calls. *)
-
 val thread_entries : Pta.t -> int list
 (** Root instances plus targets of API edges: the nodes threadification
     turns into threads. *)

@@ -60,7 +60,6 @@ let intra pta ~inst (body : Cfg.body) ~entry_fact : (int * IntSet.t) list =
   !out
 
 let run (pta : Pta.t) : t =
-  let prog = pta.Pta.prog in
   let entry_locks = Hashtbl.create 64 in
   let n = Pta.n_instances pta in
   (* Monitor presence per body, memoized by method reference: a body
@@ -110,12 +109,11 @@ let run (pta : Pta.t) : t =
   while !changed do
     changed := false;
     for i = 0 to n - 1 do
-      let inst = Pta.instance pta i in
-      match Prog.body prog inst.Pta.i_mref with
+      match Pta.inst_body pta i with
       | None -> ()
       | Some body ->
           if Hashtbl.mem entry_locks i then begin
-            let monitored = has_monitors inst.Pta.i_mref body in
+            let monitored = has_monitors (Pta.instance pta i).Pta.i_mref body in
             let facts =
               if monitored then intra pta ~inst:i body ~entry_fact:(get i) else []
             in
@@ -146,11 +144,10 @@ let run (pta : Pta.t) : t =
   (* final per-instruction locksets *)
   let at_instr = Hashtbl.create 256 in
   for i = 0 to n - 1 do
-    let inst = Pta.instance pta i in
-    match Prog.body prog inst.Pta.i_mref with
+    match Pta.inst_body pta i with
     | None -> ()
     | Some body ->
-        if has_monitors inst.Pta.i_mref body then
+        if has_monitors (Pta.instance pta i).Pta.i_mref body then
           List.iter
             (fun (id, fact) -> Hashtbl.replace at_instr (i, id) fact)
             (intra pta ~inst:i body ~entry_fact:(get i))

@@ -129,6 +129,9 @@ type t = {
   inst_ids : (Instr.mref * ctx, int) Hashtbl.t;
   mutable insts : instance array;
   mutable n_insts : int;
+  (* each instance's body, looked up once at interning: visits and call
+     bindings would otherwise rebuild the "Class.method" key per lookup *)
+  mutable inst_bodies : Cfg.body option array;
   (* field-name interning: qualified name -> id, plus a per-fref memo so
      transfers skip the name concatenation *)
   field_ids : (string, int) Hashtbl.t;
@@ -142,6 +145,12 @@ type t = {
   mutable roots : root list;
   (* synthetic allocation sites, by tag *)
   synth_sites : (string, Instr.alloc_site) Hashtbl.t;
+  (* framework-argument objects by (caller instance, instr id, class):
+     every visit of a framework call site asks for the same object *)
+  synth_args : (int * int * string, IntSet.t) Hashtbl.t;
+  (* (class, method) -> the dispatched method when its body is analysed;
+     [None] for no implementation or an empty builtin body *)
+  dispatch_memo : (string * string, Sema.rmeth option) Hashtbl.t;
   mutable changed : bool;
   mutable passes : int;
   (* resource budget: instruction transfers executed / allowed *)
@@ -212,11 +221,14 @@ let create ?(k = 2) ?budget ?tuple_budget ?deadline (prog : Prog.t) : t =
     inst_ids = Hashtbl.create 256;
     insts = Array.make 256 { i_id = 0; i_mref = { Instr.mr_class = ""; mr_name = "" }; i_ctx = [] };
     n_insts = 0;
+    inst_bodies = Array.make 256 None;
     pts = NodeTbl.create 1024;
     edge_seen = Hashtbl.create 256;
     edges = [];
     roots = [];
     synth_sites = Hashtbl.create 32;
+    synth_args = Hashtbl.create 32;
+    dispatch_memo = Hashtbl.create 64;
     changed = false;
     passes = 0;
     steps = 0;
@@ -238,6 +250,8 @@ let create ?(k = 2) ?budget ?tuple_budget ?deadline (prog : Prog.t) : t =
 let obj t id = t.objs.(id)
 
 let instance t id = t.insts.(id)
+
+let inst_body t id = t.inst_bodies.(id)
 
 (* Interned id of a field reference. Program fields were all pre-scanned
    by [create]; the on-demand fallback covers client queries mentioning
@@ -298,9 +312,13 @@ let intern_instance t mref ctx : int =
       if id >= Array.length t.insts then begin
         let bigger = Array.make (2 * Array.length t.insts) t.insts.(0) in
         Array.blit t.insts 0 bigger 0 (Array.length t.insts);
-        t.insts <- bigger
+        t.insts <- bigger;
+        let bodies = Array.make (Array.length bigger) None in
+        Array.blit t.inst_bodies 0 bodies 0 (Array.length t.inst_bodies);
+        t.inst_bodies <- bodies
       end;
       t.insts.(id) <- { i_id = id; i_mref = mref; i_ctx = ctx };
+      t.inst_bodies.(id) <- Prog.body t.prog mref;
       Hashtbl.add t.inst_ids key id;
       t.changed <- true;
       if id >= Bytes.length t.sched_cur then begin
@@ -409,7 +427,7 @@ let bind_call t ~caller ~(instr : Instr.t) ~kind ~recv_obj ~(target : Sema.rmeth
   let ctx = ctx_of_recv t (obj t recv_obj) in
   let callee = intern_instance t mref ctx in
   record_edge t ~from:caller ~instr ~kind ~target:callee;
-  match Prog.body t.prog mref with
+  match inst_body t callee with
   | None -> ()
   | Some body ->
       (* params.(0) is [this] *)
@@ -428,33 +446,54 @@ let bind_call t ~caller ~(instr : Instr.t) ~kind ~recv_obj ~(target : Sema.rmeth
       | Some d -> add_pts t (Nvar (caller, d.Instr.v_id)) (get_pts t (Nret callee))
       | None -> ())
 
-(* Dispatch [meth] on every object of [objs]; builtin (empty) bodies are
-   skipped unless they are one of the real-bodied helpers. *)
+(* The method [meth] dispatches to on a [cls] receiver, when its body is
+   analysed: builtin (empty) bodies are skipped unless they are one of
+   the real-bodied helpers. Memoized per (class, method). *)
+let dispatch_target t cls meth =
+  let key = (cls, meth) in
+  match Hashtbl.find_opt t.dispatch_memo key with
+  | Some r -> r
+  | None ->
+      let r =
+        match Sema.dispatch t.prog.Prog.sema cls meth with
+        | None -> None
+        | Some m ->
+            let decl = Sema.get_class t.prog.Prog.sema m.Sema.rm_class in
+            let real_builtin_body =
+              match (m.Sema.rm_class, m.Sema.rm_name) with
+              | "Thread", "init" | "Message", "init" -> true
+              | _, _ -> false
+            in
+            if (not decl.Sema.rc_builtin) || real_builtin_body then Some m else None
+      in
+      Hashtbl.add t.dispatch_memo key r;
+      r
+
+(* Dispatch [meth] on every object of [objs]. *)
 let dispatch_objs t ~caller ~instr ~kind ~objs ~meth ~arg_pts ~dst =
   IntSet.iter
     (fun oid ->
-      let cls = obj_class (obj t oid) in
-      match Sema.dispatch t.prog.Prog.sema cls meth with
+      match dispatch_target t (obj_class (obj t oid)) meth with
       | None -> ()
-      | Some m ->
-          let decl = Sema.get_class t.prog.Prog.sema m.Sema.rm_class in
-          let real_builtin_body =
-            match (m.Sema.rm_class, m.Sema.rm_name) with
-            | "Thread", "init" | "Message", "init" -> true
-            | _, _ -> false
-          in
-          if (not decl.Sema.rc_builtin) || real_builtin_body then
-            bind_call t ~caller ~instr ~kind ~recv_obj:oid ~target:m ~arg_pts ~dst)
+      | Some m -> bind_call t ~caller ~instr ~kind ~recv_obj:oid ~target:m ~arg_pts ~dst)
     objs
 
 (* A synthetic framework-created argument object (Intent delivered to
-   onReceive, View passed to onClick, ...). One per (callsite, class). *)
+   onReceive, View passed to onClick, ...). One per (callsite, class),
+   memoized: after the first visit, interning it again is a no-op. *)
 let synth_arg t ~caller ~(instr : Instr.t) ~cls : IntSet.t =
-  let i = instance t caller in
-  let tag =
-    Fmt.str "@arg:%a#%d:%s" Instr.pp_mref i.i_mref instr.Instr.id cls
-  in
-  IntSet.singleton (intern_obj t (synth_site t ~tag ~cls) [])
+  let key = (caller, instr.Instr.id, cls) in
+  match Hashtbl.find_opt t.synth_args key with
+  | Some s -> s
+  | None ->
+      let m = (instance t caller).i_mref in
+      let tag =
+        String.concat ""
+          [ "@arg:"; m.Instr.mr_class; "."; m.Instr.mr_name; "#"; string_of_int instr.Instr.id; ":"; cls ]
+      in
+      let s = IntSet.singleton (intern_obj t (synth_site t ~tag ~cls) []) in
+      Hashtbl.add t.synth_args key s;
+      s
 
 (* -- instruction transfer -------------------------------------------------- *)
 
@@ -585,7 +624,7 @@ let seed_roots t =
               let mref = { Instr.mr_class = m.Sema.rm_class; mr_name = m.Sema.rm_name } in
               let ctx = ctx_of_recv t (obj t recv) in
               let inst = intern_instance t mref ctx in
-              (match Prog.body t.prog mref with
+              (match inst_body t inst with
               | None -> ()
               | Some body -> (
                   match body.Cfg.params with
@@ -645,8 +684,7 @@ let tick t =
   | Some _ | None -> ()
 
 let visit t i =
-  let inst = instance t i in
-  match Prog.body t.prog inst.i_mref with
+  match inst_body t i with
   | None -> ()
   | Some body ->
       t.visits <- t.visits + 1;
@@ -806,21 +844,3 @@ let intra_instances t entry : IntSet.t =
       let s = IntSet.of_list !acc in
       Hashtbl.replace t.intra_cache entry s;
       s
-
-(* All objects stored anywhere in a field of [oid] — the heap-reachability
-   step used by the escape analysis. *)
-let field_succs t oid =
-  NodeTbl.fold
-    (fun node c acc ->
-      match node with
-      | Nfld (o, _) when o = oid -> IntSet.union c.c_pts acc
-      | Nfld _ | Nvar _ | Nstatic _ | Nret _ -> acc)
-    t.pts IntSet.empty
-
-let static_objs t =
-  NodeTbl.fold
-    (fun node c acc ->
-      match node with
-      | Nstatic _ -> IntSet.union c.c_pts acc
-      | Nfld _ | Nvar _ | Nret _ -> acc)
-    t.pts IntSet.empty

@@ -76,6 +76,8 @@ type t = {
   inst_ids : (Instr.mref * ctx, int) Hashtbl.t;
   mutable insts : instance array;
   mutable n_insts : int;
+  mutable inst_bodies : Cfg.body option array;
+      (** each instance's body, looked up once when it is interned *)
   field_ids : (string, int) Hashtbl.t;  (** qualified field name -> id *)
   fref_ids : (Instr.fref, int) Hashtbl.t;  (** per-fref interning memo *)
   thread_target_id : int;  (** the synthetic "Thread.target" field *)
@@ -84,6 +86,10 @@ type t = {
   mutable edges : call_edge list;
   mutable roots : root list;
   synth_sites : (string, Instr.alloc_site) Hashtbl.t;
+  synth_args : (int * int * string, IntSet.t) Hashtbl.t;
+      (** framework-argument objects by (caller, instr id, class) *)
+  dispatch_memo : (string * string, Nadroid_lang.Sema.rmeth option) Hashtbl.t;
+      (** (class, method) -> dispatched method with an analysed body *)
   mutable changed : bool;
   mutable passes : int;
   mutable steps : int;  (** instruction transfers executed so far *)
@@ -146,6 +152,10 @@ val obj : t -> int -> obj
 
 val instance : t -> int -> instance
 
+val inst_body : t -> int -> Cfg.body option
+(** The body of an instance's method, cached when the instance is
+    interned; [None] for a method without one. *)
+
 val is_synthetic_site : Instr.alloc_site -> bool
 
 val field_key : Instr.fref -> string
@@ -187,8 +197,3 @@ val intra_instances : t -> int -> IntSet.t
 (** Instances reachable from [entry] through ordinary (non-thread) call
     edges — the intra-thread closure. Memoized per entry; escape,
     threadify and the filters all share the one computation. *)
-
-val field_succs : t -> int -> IntSet.t
-(** Objects stored in any field of the given object. *)
-
-val static_objs : t -> IntSet.t

@@ -69,7 +69,6 @@ type templ = { t_use : bool; t_site : site; t_field : Instr.fref; t_objs : IntSe
 let collect_accesses ?deadline (tf : Threadify.t) : access list * access list =
   let checkpoint = deadline_checkpoint deadline in
   let pta = tf.Threadify.pta in
-  let prog = pta.Pta.prog in
   (* instance id -> its field accesses, in instruction order *)
   let templs : (int, templ list) Hashtbl.t = Hashtbl.create 256 in
   let templates_of inst_id =
@@ -78,7 +77,7 @@ let collect_accesses ?deadline (tf : Threadify.t) : access list * access list =
     | None ->
         let inst = Pta.instance pta inst_id in
         let acc = ref [] in
-        (match Prog.body prog inst.Pta.i_mref with
+        (match Pta.inst_body pta inst_id with
         | None -> ()
         | Some body ->
             Cfg.iter_instrs

@@ -55,15 +55,13 @@ type lock_call = { lc_thread : int; lc_site : Detect.site; lc_objs : IntSet.t }
 (* All WakeLock.acquire / WakeLock.release calls per thread. *)
 let collect (tf : Threadify.t) : lock_call list * lock_call list =
   let pta = tf.Threadify.pta in
-  let prog = pta.Pta.prog in
   let acquires = ref [] and releases = ref [] in
   List.iter
     (fun th ->
       if th.Threadify.th_entry >= 0 then
         IntSet.iter
           (fun inst_id ->
-            let inst = Pta.instance pta inst_id in
-            match Prog.body prog inst.Pta.i_mref with
+            match Pta.inst_body pta inst_id with
             | None -> ()
             | Some body ->
                 Cfg.iter_instrs
@@ -77,7 +75,7 @@ let collect (tf : Threadify.t) : lock_call list * lock_call list =
                             lc_site =
                               {
                                 Detect.s_inst = inst_id;
-                                s_mref = inst.Pta.i_mref;
+                                s_mref = (Pta.instance pta inst_id).Pta.i_mref;
                                 s_instr = ins;
                               };
                             lc_objs = Pta.pts_var pta ~inst:inst_id ~v:recv;

@@ -267,12 +267,10 @@ let rec cancel_calls ctx (th : Threadify.thread) : (Api.cancel * IntSet.t * IntS
 
 and cancel_calls_uncached ctx (th : Threadify.thread) : (Api.cancel * IntSet.t * IntSet.t) list =
   let pta = ctx.tf.Threadify.pta in
-  let prog = pta.Pta.prog in
   let out = ref [] in
   IntSet.iter
     (fun inst_id ->
-      let inst = Pta.instance pta inst_id in
-      match Prog.body prog inst.Pta.i_mref with
+      match Pta.inst_body pta inst_id with
       | None -> ()
       | Some body ->
           Cfg.iter_instrs

@@ -43,6 +43,11 @@ val on_looper : thread -> bool
 
 val is_callback : thread -> bool
 
+val kind_of_edge : Nadroid_lang.Sema.t -> Pta.call_edge -> callee:Pta.instance -> kind
+(** The kind of thread an API edge creates, from the API kind and the
+    callee's method name. Raises [Invalid_argument] on an ordinary edge
+    or a non-thread-creating API edge. *)
+
 val run : ?deadline:float -> Pta.t -> t
 (** Build the thread forest. [deadline] (absolute monotonic
     {!Nadroid_clock.Clock.now} instant) is checked once per thread expansion; a partial forest would

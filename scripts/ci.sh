@@ -53,10 +53,12 @@ dune exec --no-print-directory bin/nadroid.exe -- difftest --seed 42 --apps 100
 #    (regenerate deliberately with `nadroid golden --bless`).
 dune exec --no-print-directory bin/nadroid.exe -- golden --dir test/golden
 
-# 7. PTA solver equivalence: the worklist solver must be bit-identical
-#    to the reference solver on the corpus and on >= 200 generated apps
-#    (the property gating the perf tentpole).
+# 7. Oracle equivalence on the corpus and on >= 200 generated apps: the
+#    worklist PTA solver must be bit-identical to the reference solver,
+#    the indexed thread forest to the rescan-every-API-edge expansion,
+#    and the pruned escaping set to unpruned per-entry counting.
 dune exec --no-print-directory test/test_main.exe -- test pta-equivalence
+dune exec --no-print-directory test/test_main.exe -- test forest-escape-equivalence
 
 # 8. Cache drift gate: a cold pass filling a fresh cache and a warm pass
 #    served from it must both match the golden reports byte-for-byte.
@@ -257,34 +259,55 @@ rm -rf "$fleet_dir"
 
 # 17. Frontend gate: (a) the frontend-equivalence group — table-driven
 #     lexer and token-array parser must be byte-identical to the
-#     reference paths on 200 generated apps and the corpus, and count_loc must agree with the naive LOC-spec
-#     scanner on every corpus app; (b) perf smoke — the cold corpus
-#     batch must not regress >20% against the committed BENCH_9
-#     trajectory point. Step 9 already overwrote the working-tree
-#     BENCH_9.json, so the baseline comes from HEAD; the measurement is
-#     the better of step 9's run and one fresh run, which keeps a
-#     single noisy run on a loaded machine from failing the gate.
+#     reference paths on 200 generated apps and the corpus, and count_loc
+#     must agree with the naive LOC-spec scanner on every corpus app;
+#     (b) perf smoke against HEAD measured on this machine — HEAD is
+#     exported with `git archive`, its bench built in the export, and
+#     the two `bench perf` cold batches run alternately twice each. The
+#     working tree's best cold batch must be within 20% of HEAD's best,
+#     and every app's deterministic pta_visits/pta_steps must equal
+#     HEAD's exactly. A baseline recorded on another host would measure
+#     the host, not the code.
 dune exec --no-print-directory test/test_main.exe -- test frontend-equivalence
-cold_extract() {
-  sed -n 's/.*"cold_elapsed":\([0-9.][0-9.]*\).*/\1/p' "$1"
-}
-baseline_json="_nadroid_cache/ci-bench9-head.$$.json"
-mkdir -p _nadroid_cache
-if git show HEAD:BENCH_9.json > "$baseline_json" 2>/dev/null; then
-  baseline=$(cold_extract "$baseline_json")
-  sample1=$(cold_extract BENCH_9.json)
-  dune exec --no-print-directory bench/main.exe -- perf --json --jobs 1 >/dev/null
-  sample2=$(cold_extract BENCH_9.json)
-  if ! awk -v b="$baseline" -v s1="$sample1" -v s2="$sample2" \
-    'BEGIN { best = (s1 < s2 ? s1 : s2); exit !(best <= b * 1.2) }'; then
-    echo "ci: frontend perf smoke regressed >20% vs committed BENCH_9" \
-      "(baseline ${baseline}s, runs ${sample1}s / ${sample2}s)" >&2
+head_dir="_nadroid_cache/ci-head.$$"
+rm -rf "$head_dir"
+mkdir -p "$head_dir"
+if git archive HEAD 2>/dev/null | tar -x -C "$head_dir" 2>/dev/null \
+  && [ -f "$head_dir/dune-project" ]; then
+  dune build --root "$head_dir" bench/main.exe
+  dune build bench/main.exe
+  # run `bench perf` in directory $1; print its cold batch seconds
+  perf_cold() {
+    (cd "$1" && ./_build/default/bench/main.exe perf --json --jobs 1 >/dev/null \
+      && sed -n 's/.*"cold_elapsed":\([0-9.][0-9.]*\).*/\1/p' BENCH_9.json)
+  }
+  # one line per app of the BENCH_9 record $1: name, pta_visits, pta_steps
+  pta_counts() {
+    python3 -c 'import json, sys
+for a in json.load(open(sys.argv[1]))["apps"]:
+    print(a["name"], a["pta_visits"], a["pta_steps"])' "$1"
+  }
+  head1=$(perf_cold "$head_dir")
+  work1=$(perf_cold .)
+  head2=$(perf_cold "$head_dir")
+  work2=$(perf_cold .)
+  if ! awk -v h1="$head1" -v h2="$head2" -v w1="$work1" -v w2="$work2" \
+    'BEGIN { h = (h1 < h2 ? h1 : h2); w = (w1 < w2 ? w1 : w2); exit !(w <= h * 1.2) }'; then
+    echo "ci: perf smoke regressed >20% vs HEAD on this machine" \
+      "(HEAD ${head1}s / ${head2}s, working tree ${work1}s / ${work2}s)" >&2
+    rm -rf "$head_dir"
     exit 1
   fi
+  if [ "$(pta_counts BENCH_9.json)" != "$(pta_counts "$head_dir/BENCH_9.json")" ]; then
+    echo "ci: per-app pta_visits/pta_steps differ from HEAD" >&2
+    rm -rf "$head_dir"
+    exit 1
+  fi
+  echo "ci: perf smoke: HEAD ${head1}s / ${head2}s, working tree ${work1}s / ${work2}s"
 else
-  echo "ci: no committed BENCH_9.json at HEAD; skipping perf smoke" >&2
+  echo "ci: cannot export HEAD with git archive; skipping perf smoke" >&2
 fi
-rm -f "$baseline_json"
+rm -rf "$head_dir"
 
 # 18. Benchmark self-tests: seeded inputs, the percentile rule and the
 #     output checks of perfbench/run.py (a flipped golden byte or a

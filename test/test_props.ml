@@ -223,6 +223,173 @@ let worklist_equals_reference_on_corpus () =
         (Pta.visits w <= Pta.visits r && Pta.steps w <= Pta.steps r))
     (Lazy.force Nadroid_corpus.Corpus.all)
 
+module Threadify = Nadroid_core.Threadify
+module Escape = Nadroid_analysis.Escape
+module IntSet = Pta.IntSet
+
+(* Forest oracle: the plain expansion that tests every API edge of the
+   whole edge list against the expanding thread's instance set. The
+   indexed expansion must give the same thread array, field for field. *)
+let naive_forest (pta : Pta.t) : Threadify.thread array =
+  let sema = pta.Pta.prog.Nadroid_ir.Prog.sema in
+  let threads = ref [] and n = ref 0 in
+  let add th =
+    threads := th :: !threads;
+    incr n;
+    th
+  in
+  let main =
+    add
+      {
+        Threadify.th_id = 0;
+        th_kind = Threadify.Dummy_main;
+        th_entry = -1;
+        th_parent = None;
+        th_origin = Threadify.O_main;
+        th_class = "@framework";
+        th_method = "main";
+        th_component = None;
+      }
+  in
+  let rec expand (th : Threadify.thread) ancestors =
+    if th.Threadify.th_entry >= 0 && not (List.mem th.Threadify.th_entry ancestors) then begin
+      let insts = Pta.intra_instances pta th.Threadify.th_entry in
+      List.iter
+        (fun (e : Pta.call_edge) ->
+          match e.Pta.ce_kind with
+          | Pta.E_api _ when IntSet.mem e.Pta.ce_from insts ->
+              let callee = Pta.instance pta e.Pta.ce_to in
+              let kind = Threadify.kind_of_edge sema e ~callee in
+              let parent =
+                match kind with
+                | Threadify.Entry_cb _ -> main
+                | Threadify.Posted_cb _ | Threadify.Native_thread | Threadify.Async_background
+                | Threadify.Dummy_main ->
+                    th
+              in
+              let child =
+                add
+                  {
+                    Threadify.th_id = !n;
+                    th_kind = kind;
+                    th_entry = e.Pta.ce_to;
+                    th_parent = Some parent.Threadify.th_id;
+                    th_origin = Threadify.O_edge e;
+                    th_class = callee.Pta.i_mref.Nadroid_ir.Instr.mr_class;
+                    th_method = callee.Pta.i_mref.Nadroid_ir.Instr.mr_name;
+                    th_component = th.Threadify.th_component;
+                  }
+              in
+              expand child (th.Threadify.th_entry :: ancestors)
+          | Pta.E_api _ | Pta.E_ordinary -> ())
+        (Pta.edges pta)
+    end
+  in
+  List.iter
+    (fun (r : Pta.root) ->
+      let cls = r.Pta.r_component.Nadroid_android.Component.cls in
+      expand
+        (add
+           {
+             Threadify.th_id = !n;
+             th_kind = Threadify.Entry_cb r.Pta.r_cb_kind;
+             th_entry = r.Pta.r_instance;
+             th_parent = Some main.Threadify.th_id;
+             th_origin = Threadify.O_root r;
+             th_class = cls;
+             th_method = r.Pta.r_method;
+             th_component = Some cls;
+           })
+        [])
+    (Pta.roots pta);
+  Array.of_list (List.rev !threads)
+
+(* Escape oracle: every thread entry walks its whole field closure, with
+   no stopping at objects two earlier entries already reached. *)
+let naive_escaping (pta : Pta.t) : IntSet.t =
+  let by_inst = Hashtbl.create 64 and by_field = Hashtbl.create 64 in
+  let statics = ref IntSet.empty in
+  let add tbl k s =
+    Hashtbl.replace tbl k (IntSet.union s (Option.value ~default:IntSet.empty (Hashtbl.find_opt tbl k)))
+  in
+  Pta.NodeTbl.iter
+    (fun node (c : Pta.cell) ->
+      match node with
+      | Pta.Nvar (i, _) | Pta.Nret i -> add by_inst i c.Pta.c_pts
+      | Pta.Nfld (o, _) -> add by_field o c.Pta.c_pts
+      | Pta.Nstatic _ -> statics := IntSet.union !statics c.Pta.c_pts)
+    pta.Pta.pts;
+  let find tbl k = Option.value ~default:IntSet.empty (Hashtbl.find_opt tbl k) in
+  let rec close seen = function
+    | [] -> seen
+    | o :: rest when IntSet.mem o seen -> close seen rest
+    | o :: rest -> close (IntSet.add o seen) (IntSet.elements (find by_field o) @ rest)
+  in
+  let counts = Hashtbl.create 64 in
+  List.iter
+    (fun entry ->
+      let seeds =
+        IntSet.fold
+          (fun i acc -> IntSet.union (find by_inst i) acc)
+          (Pta.intra_instances pta entry) IntSet.empty
+      in
+      IntSet.iter
+        (fun o -> Hashtbl.replace counts o (1 + Option.value ~default:0 (Hashtbl.find_opt counts o)))
+        (close IntSet.empty (IntSet.elements seeds)))
+    (Escape.thread_entries pta);
+  Hashtbl.fold
+    (fun o n acc -> if n >= 2 then IntSet.add o acc else acc)
+    counts
+    (close IntSet.empty (IntSet.elements !statics))
+
+let forest_and_escape_match_oracles ~file src =
+  let pta = Pta.run (lower ~file src) in
+  ( (Threadify.run pta).Threadify.threads = naive_forest pta,
+    IntSet.equal (Escape.run pta).Escape.escaping (naive_escaping pta) )
+
+let forest_escape_equal_oracles_on_synth =
+  QCheck2.Test.make ~name:"forest and escaping set equal the naive oracles on generated apps"
+    ~count:200
+    QCheck2.Gen.(int_bound 100_000)
+    (fun seed ->
+      let src, _ = Synth.render (Synth.generate ~seed) in
+      forest_and_escape_match_oracles ~file:"synth" src = (true, true))
+
+let forest_escape_equal_oracles_on_corpus () =
+  List.iter
+    (fun (app : Nadroid_corpus.Corpus.app) ->
+      let name = app.Nadroid_corpus.Corpus.name in
+      let forest, esc = forest_and_escape_match_oracles ~file:name app.Nadroid_corpus.Corpus.source in
+      Alcotest.(check bool) (name ^ ": forest = naive expansion") true forest;
+      Alcotest.(check bool) (name ^ ": escaping = unpruned counting") true esc)
+    (Lazy.force Nadroid_corpus.Corpus.all)
+
+(* [postLater] is interned before [postNow] but posts only in the third
+   solver round, once [setRunnable] has stored [r]; its API edge is
+   therefore newer than [postNow]'s. Gathering the thread's edges by
+   caller instance puts them in the wrong order unless they are sorted
+   back into edge-list order. *)
+let late_post_src =
+  {|class LateActivity extends Activity {
+  field Handler h;
+  field Runnable r;
+  method void onCreate() {
+    h = new Handler();
+    this.postLater();
+    this.postNow();
+    this.setRunnable();
+  }
+  method void postLater() { h.post(r); }
+  method void postNow() { h.post(new Runnable() { method void run() { } }); }
+  method void setRunnable() { r = new Runnable() { method void run() { } }; }
+}
+|}
+
+let forest_keeps_edge_order_of_late_posts () =
+  let forest, esc = forest_and_escape_match_oracles ~file:"Late" late_post_src in
+  Alcotest.(check bool) "forest = naive expansion" true forest;
+  Alcotest.(check bool) "escaping = unpruned counting" true esc
+
 let suite =
   [
     ( "composition",
@@ -235,6 +402,14 @@ let suite =
            Alcotest.test_case "worklist equals reference on all corpus apps" `Quick
              worklist_equals_reference_on_corpus;
          ] );
+    ( "forest-escape-equivalence",
+      [
+        QCheck_alcotest.to_alcotest forest_escape_equal_oracles_on_synth;
+        Alcotest.test_case "forest and escaping set equal the naive oracles on all corpus apps"
+          `Quick forest_escape_equal_oracles_on_corpus;
+        Alcotest.test_case "forest keeps edge-list order when a lower-id caller posts later"
+          `Quick forest_keeps_edge_order_of_late_posts;
+      ] );
     ( "join-and-parallel",
       List.map QCheck_alcotest.to_alcotest
         [ indexed_join_equals_naive; analyze_all_is_jobs_invariant ] );
